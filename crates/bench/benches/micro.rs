@@ -31,6 +31,20 @@ fn bench_pipeline(c: &mut Criterion) {
     c.bench_function("restore_plan_build_qwen_128", |b| {
         b.iter(|| RestorePlan::build(&graph, |i| times[i], &rates, 0))
     });
+
+    // The serving dispatch configuration: no trace, on the RK3566, whose
+    // slower decrypt lane splits into the most micro-operators.
+    let rk3566 = tz_hal::PlatformProfile::rk3566();
+    let rates = RestoreRates::from_profile(&rk3566, 0.8, rk3566.cma_migration_threads);
+    let plan = RestorePlan::build(&graph, |i| times[i], &rates, 0);
+    let config = PipelineConfig {
+        cpu_cores: rk3566.big_cores,
+        record_trace: false,
+        ..config
+    };
+    c.bench_function("pipeline_simulate_qwen_128_rk3566_notrace", |b| {
+        b.iter(|| simulate(std::hint::black_box(&plan), std::hint::black_box(&config)))
+    });
 }
 
 fn bench_crypto(c: &mut Criterion) {

@@ -13,12 +13,15 @@
 //! * [`Policy::PriorityPreemptive`] — the full TZ-LLM policy: allocation and
 //!   decryption operators are split into micro-operators so a computation
 //!   operator that becomes ready only waits until the next preemption point.
+//!   Micro-operators are simulated lazily: the operator runs one quantum-sized
+//!   piece at a time and keeps its id, so no per-piece records are built.
 //!
 //! The simulator is event-driven and fully deterministic; it produces the
 //! makespan (the prefill-pipeline part of the TTFT), a span trace, and busy
 //! time per operator class.
 
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use sim_core::{SimDuration, SimTime, SpanKind, Trace};
 
@@ -92,8 +95,8 @@ impl PipelineResult {
     }
 }
 
-/// Which single-owner resource class an operator occupied while running.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// Which single-owner resource class an operator occupies while running.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ResourceClass {
     /// One of the CPU cores.
     Cpu,
@@ -124,292 +127,308 @@ impl ResourceClass {
 /// A typed operator-completion event in the simulation's event heap.
 ///
 /// Ordered by completion time, then operator id, so ties pop
-/// deterministically.
+/// deterministically.  An operator has at most one piece in flight, so the
+/// id is unique among pending events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct Completion {
     at: SimTime,
-    id: usize,
-    resource: ResourceClass,
+    id: u32,
 }
 
-#[derive(Debug, Clone)]
-struct SimOp {
-    kind: PipeOpKind,
-    compute_index: usize,
-    duration: SimDuration,
-    deps_remaining: usize,
-    dependents: Vec<usize>,
-    label: crate::restore::OpLabel,
+// Ready-queue indices.
+const READY_IO: usize = 0;
+const READY_NPU: usize = 1;
+const READY_CPU_COMPUTE: usize = 2;
+const READY_CPU_RESTORE: usize = 3;
+
+fn ready_queue(kind: PipeOpKind) -> usize {
+    match kind {
+        PipeOpKind::Load => READY_IO,
+        PipeOpKind::NpuCompute => READY_NPU,
+        PipeOpKind::CpuCompute => READY_CPU_COMPUTE,
+        PipeOpKind::Alloc | PipeOpKind::Decrypt => READY_CPU_RESTORE,
+    }
 }
 
-/// Expands preemptible operators into chained micro-operators.
-fn expand_micro_ops(plan: &RestorePlan, quantum: SimDuration) -> Vec<PipeOp> {
-    let mut out: Vec<PipeOp> = Vec::new();
-    // Map original id -> id of the *last* micro-op of that original op, so
-    // dependencies land on the completion of the whole chain.
-    let mut last_of: Vec<usize> = Vec::with_capacity(plan.ops.len());
-
-    for op in &plan.ops {
-        let deps: Vec<usize> = op.deps.iter().map(|&d| last_of[d]).collect();
-        if !op.preemptible || op.duration <= quantum || quantum.is_zero() {
-            let id = out.len();
-            out.push(PipeOp {
-                id,
-                deps,
-                ..op.clone()
-            });
-            last_of.push(id);
-            continue;
-        }
-        let pieces = (op.duration.as_nanos()).div_ceil(quantum.as_nanos().max(1));
-        let chunks = op.duration.split(pieces);
-        let mut prev: Option<usize> = None;
-        let mut first_deps = deps;
-        for (i, chunk) in chunks.into_iter().enumerate() {
-            let id = out.len();
-            let deps = match prev {
-                None => std::mem::take(&mut first_deps),
-                Some(p) => vec![p],
-            };
-            out.push(PipeOp {
-                id,
-                kind: op.kind,
-                compute_index: op.compute_index,
-                duration: chunk,
-                bytes: 0,
-                deps,
-                preemptible: true,
-                label: op.label.with_micro(i),
-            });
-            prev = Some(id);
-        }
-        last_of.push(prev.expect("at least one micro-op"));
-    }
-    out
-}
-
-/// Simulates the plan under the given configuration.
-pub fn simulate(plan: &RestorePlan, config: &PipelineConfig) -> PipelineResult {
-    let ops_src: Vec<PipeOp> = match config.policy {
-        Policy::PriorityPreemptive => expand_micro_ops(plan, config.preempt_quantum),
-        _ => plan
-            .ops
-            .iter()
-            .enumerate()
-            .map(|(i, o)| PipeOp { id: i, ..o.clone() })
-            .collect(),
-    };
-
-    let n = ops_src.len();
-    let mut ops: Vec<SimOp> = ops_src
-        .iter()
-        .map(|o| SimOp {
-            kind: o.kind,
-            compute_index: o.compute_index,
-            duration: o.duration,
-            deps_remaining: o.deps.len(),
-            dependents: Vec::new(),
-            label: o.label,
-        })
-        .collect();
-    for o in &ops_src {
-        for &d in &o.deps {
-            ops[d].dependents.push(o.id);
-        }
-    }
-
-    let restoration_total = ops.iter().filter(|o| o.kind.is_restoration()).count();
-    let mut restoration_done = 0usize;
-
-    // Ready sets ordered by (compute_index, id): the priority rule.
-    let mut ready_cpu_compute: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut ready_cpu_restore: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut ready_npu: BTreeSet<(usize, usize)> = BTreeSet::new();
-    let mut ready_io: BTreeSet<(usize, usize)> = BTreeSet::new();
-
-    let add_ready = |id: usize,
-                     op: &SimOp,
-                     ready_cpu_compute: &mut BTreeSet<(usize, usize)>,
-                     ready_cpu_restore: &mut BTreeSet<(usize, usize)>,
-                     ready_npu: &mut BTreeSet<(usize, usize)>,
-                     ready_io: &mut BTreeSet<(usize, usize)>| {
-        let key = (op.compute_index, id);
-        match op.kind {
-            PipeOpKind::CpuCompute => {
-                ready_cpu_compute.insert(key);
-            }
-            PipeOpKind::Alloc | PipeOpKind::Decrypt => {
-                ready_cpu_restore.insert(key);
-            }
-            PipeOpKind::NpuCompute => {
-                ready_npu.insert(key);
-            }
-            PipeOpKind::Load => {
-                ready_io.insert(key);
-            }
-        }
-    };
-
-    for (i, op) in ops.iter().enumerate() {
-        if op.deps_remaining == 0 {
-            add_ready(
-                i,
-                op,
-                &mut ready_cpu_compute,
-                &mut ready_cpu_restore,
-                &mut ready_npu,
-                &mut ready_io,
-            );
-        }
-    }
-
-    // Resource state.
-    let mut cpu_free = config.cpu_cores;
-    let mut npu_free = true;
-    let mut io_free = true;
-    // The Sequential policy models the strawman's strictly serial cold start:
-    // at most one operator (of any kind) in flight at a time.
-    let serial = config.policy == Policy::Sequential;
-    let mut running = 0usize;
-
-    let mut events: std::collections::BinaryHeap<std::cmp::Reverse<Completion>> =
-        std::collections::BinaryHeap::new();
-
-    let mut trace = Trace::new();
-    let mut busy = [SimDuration::ZERO; 5];
-    let kind_index = |k: PipeOpKind| match k {
-        PipeOpKind::Alloc => 0usize,
+fn busy_index(kind: PipeOpKind) -> usize {
+    match kind {
+        PipeOpKind::Alloc => 0,
         PipeOpKind::Load => 1,
         PipeOpKind::Decrypt => 2,
         PipeOpKind::CpuCompute => 3,
         PipeOpKind::NpuCompute => 4,
-    };
-    let span_kind = |k: PipeOpKind| match k {
+    }
+}
+
+fn span_kind(kind: PipeOpKind) -> SpanKind {
+    match kind {
         PipeOpKind::Alloc => SpanKind::Allocation,
         PipeOpKind::Load => SpanKind::Loading,
         PipeOpKind::Decrypt => SpanKind::Decryption,
         PipeOpKind::CpuCompute => SpanKind::CpuCompute,
         PipeOpKind::NpuCompute => SpanKind::NpuCompute,
-    };
+    }
+}
 
-    let mut now = SimTime::ZERO;
+/// Scheduling state of one operator.
+#[derive(Debug, Clone, Copy)]
+struct OpState {
+    kind: PipeOpKind,
+    deps_remaining: u32,
+    /// How many micro-operators the operator runs as: `ceil(duration /
+    /// quantum)` when it is preempted, else one.
+    pieces: u64,
+    /// The piece it runs next.
+    next_piece: u64,
+    /// The length of every piece but the last, which also takes the
+    /// remainder (the split of `SimDuration::split`).
+    piece: SimDuration,
+}
+
+impl OpState {
+    fn new(op: &PipeOp, config: &PipelineConfig) -> Self {
+        let quantum = config.preempt_quantum;
+        let pieces = if config.policy == Policy::PriorityPreemptive
+            && op.preemptible
+            && !quantum.is_zero()
+            && op.duration > quantum
+        {
+            op.duration.as_nanos().div_ceil(quantum.as_nanos())
+        } else {
+            1
+        };
+        OpState {
+            kind: op.kind,
+            deps_remaining: op.deps.len() as u32,
+            pieces,
+            next_piece: 0,
+            piece: SimDuration::from_nanos(op.duration.as_nanos() / pieces),
+        }
+    }
+}
+
+/// The state of one [`simulate`] call.
+///
+/// Its heap allocations are fixed by the plan's operator and edge counts.  A
+/// preemptible operator is not expanded into micro-operator records: it runs
+/// one piece at a time under its own id and re-enters its ready queue after
+/// every piece but the last, and only the last piece releases its
+/// dependents.
+struct Scheduler<'a> {
+    ops: &'a [PipeOp],
+    config: &'a PipelineConfig,
+    /// The dependents of operator `i` are
+    /// `dependents[dependents_start[i]..dependents_start[i + 1]]`.
+    dependents_start: Vec<u32>,
+    dependents: Vec<u32>,
+    state: Vec<OpState>,
+    /// Min-queues of ready operator ids, indexed by `READY_*`.  The lowest id
+    /// is the lowest `compute_index`, because a valid plan numbers operators
+    /// in computation order: this is the priority rule of §4.1.
+    ready: [BinaryHeap<Reverse<u32>>; 4],
+    events: BinaryHeap<Reverse<Completion>>,
+    cpu_free: usize,
+    npu_free: bool,
+    io_free: bool,
+    /// Operators (or pieces) in flight.
+    running: usize,
+    restoration_left: usize,
+    now: SimTime,
+    busy: [SimDuration; 5],
+    trace: Trace,
+    /// Reused buffer for rendering span names.
+    name: String,
+}
+
+impl<'a> Scheduler<'a> {
+    fn new(plan: &'a RestorePlan, config: &'a PipelineConfig) -> Self {
+        let ops = &plan.ops[..];
+        let n = ops.len();
+        assert!(n < u32::MAX as usize, "plan too large for u32 operator ids");
+
+        // Dependents in compressed sparse rows: count, prefix-sum to each
+        // row's end, then fill backwards so every row ends at its start.
+        let mut dependents_start = vec![0u32; n + 1];
+        for op in ops {
+            for &d in &op.deps {
+                dependents_start[d] += 1;
+            }
+        }
+        let mut end = 0u32;
+        for slot in dependents_start.iter_mut() {
+            end += *slot;
+            *slot = end;
+        }
+        let mut dependents = vec![0u32; end as usize];
+        for (id, op) in ops.iter().enumerate().rev() {
+            for &d in &op.deps {
+                dependents_start[d] -= 1;
+                dependents[dependents_start[d] as usize] = id as u32;
+            }
+        }
+
+        let mut sched = Scheduler {
+            ops,
+            config,
+            dependents_start,
+            dependents,
+            state: ops.iter().map(|o| OpState::new(o, config)).collect(),
+            // `RestorePlan::build` chains its allocations, its loads and its
+            // computation operators, so only the CPU restoration queue,
+            // which holds every ready decryption, grows past one entry.
+            ready: std::array::from_fn(|queue| {
+                BinaryHeap::with_capacity(if queue == READY_CPU_RESTORE { n } else { 1 })
+            }),
+            events: BinaryHeap::with_capacity(config.cpu_cores + 2),
+            cpu_free: config.cpu_cores,
+            npu_free: true,
+            io_free: true,
+            running: 0,
+            restoration_left: ops.iter().filter(|o| o.kind.is_restoration()).count(),
+            now: SimTime::ZERO,
+            busy: [SimDuration::ZERO; 5],
+            trace: Trace::new(),
+            name: String::new(),
+        };
+        for (id, op) in ops.iter().enumerate() {
+            if op.deps.is_empty() {
+                sched.ready[ready_queue(op.kind)].push(Reverse(id as u32));
+            }
+        }
+        sched
+    }
+
+    /// Starts the next piece of operator `id` at `now`.
+    fn start(&mut self, id: u32) {
+        let st = self.state[id as usize];
+        let duration = if st.pieces == 1 {
+            self.ops[id as usize].duration
+        } else if st.next_piece + 1 < st.pieces {
+            st.piece
+        } else {
+            self.ops[id as usize].duration - st.piece * (st.pieces - 1)
+        };
+        let end = self.now + duration;
+        if self.config.record_trace {
+            use std::fmt::Write;
+            let label = self.ops[id as usize].label;
+            let label = if st.pieces == 1 {
+                label
+            } else {
+                label.with_micro(st.next_piece as usize)
+            };
+            self.name.clear();
+            let _ = write!(self.name, "{label}");
+            self.trace.record(
+                &self.name,
+                span_kind(st.kind),
+                ResourceClass::for_kind(st.kind).label(),
+                self.now,
+                end,
+            );
+        }
+        self.busy[busy_index(st.kind)] += duration;
+        self.events.push(Reverse(Completion { at: end, id }));
+        self.running += 1;
+    }
+
+    /// Dispatches as much ready work as resources allow at `now`.
+    fn dispatch(&mut self) {
+        // The Sequential policy models the strawman's strictly serial cold
+        // start: at most one operator (of any kind) in flight at a time, and
+        // no computation until every restoration operator is done.
+        let sequential = self.config.policy == Policy::Sequential;
+        while self.io_free && !(sequential && self.running > 0) {
+            let Some(Reverse(id)) = self.ready[READY_IO].pop() else {
+                break;
+            };
+            self.start(id);
+            self.io_free = false;
+        }
+        while self.npu_free && !(sequential && self.running > 0) {
+            let Some(Reverse(id)) = self.ready[READY_NPU].pop() else {
+                break;
+            };
+            self.start(id);
+            self.npu_free = false;
+        }
+        while self.cpu_free > 0 && !(sequential && self.running > 0) {
+            // A ready CPU computation operator always wins over restoration.
+            let queue = if (sequential && self.restoration_left > 0)
+                || self.ready[READY_CPU_COMPUTE].is_empty()
+            {
+                READY_CPU_RESTORE
+            } else {
+                READY_CPU_COMPUTE
+            };
+            let Some(Reverse(id)) = self.ready[queue].pop() else {
+                break;
+            };
+            self.start(id);
+            self.cpu_free -= 1;
+        }
+    }
+
+    /// Retires the piece ending at `event`; returns whether its operator is
+    /// now complete.
+    fn complete(&mut self, event: Completion) -> bool {
+        let Completion { at, id } = event;
+        self.now = at;
+        let st = &mut self.state[id as usize];
+        let kind = st.kind;
+        match ResourceClass::for_kind(kind) {
+            ResourceClass::Cpu => self.cpu_free += 1,
+            ResourceClass::Npu => self.npu_free = true,
+            ResourceClass::Io => self.io_free = true,
+        }
+        self.running -= 1;
+        if st.next_piece + 1 < st.pieces {
+            st.next_piece += 1;
+            self.ready[ready_queue(kind)].push(Reverse(id));
+            return false;
+        }
+        if kind.is_restoration() {
+            self.restoration_left -= 1;
+        }
+        let rows = self.dependents_start[id as usize] as usize
+            ..self.dependents_start[id as usize + 1] as usize;
+        for &dep in &self.dependents[rows] {
+            let st = &mut self.state[dep as usize];
+            st.deps_remaining -= 1;
+            if st.deps_remaining == 0 {
+                self.ready[ready_queue(st.kind)].push(Reverse(dep));
+            }
+        }
+        true
+    }
+}
+
+/// Simulates the plan under the given configuration.
+pub fn simulate(plan: &RestorePlan, config: &PipelineConfig) -> PipelineResult {
+    debug_assert_eq!(plan.validate(), Ok(()));
+    let mut sched = Scheduler::new(plan, config);
     let mut completed = 0usize;
-    let mut makespan = SimTime::ZERO;
-
-    // Dispatch as much ready work as resources allow at time `now`.
-    macro_rules! start_op {
-        ($id:expr) => {{
-            let id = $id;
-            let resource = ResourceClass::for_kind(ops[id].kind);
-            let end = now + ops[id].duration;
-            if config.record_trace {
-                trace.record(
-                    ops[id].label.to_string(),
-                    span_kind(ops[id].kind),
-                    resource.label(),
-                    now,
-                    end,
-                );
-            }
-            busy[kind_index(ops[id].kind)] += ops[id].duration;
-            events.push(std::cmp::Reverse(Completion {
-                at: end,
-                id,
-                resource,
-            }));
-            running += 1;
-        }};
-    }
-    macro_rules! dispatch {
-        () => {{
-            // I/O engine: lowest compute-index load first.
-            while io_free && !(serial && running > 0) {
-                let Some(&key) = ready_io.iter().next() else {
-                    break;
-                };
-                ready_io.remove(&key);
-                start_op!(key.1);
-                io_free = false;
-            }
-            // NPU.
-            while npu_free && !(serial && running > 0) {
-                let Some(&key) = ready_npu.iter().next() else {
-                    break;
-                };
-                ready_npu.remove(&key);
-                start_op!(key.1);
-                npu_free = false;
-            }
-            // CPU cores.
-            while cpu_free > 0 && !(serial && running > 0) {
-                let sequential_gate =
-                    config.policy == Policy::Sequential && restoration_done < restoration_total;
-                let pick = if sequential_gate {
-                    // No computation until every restoration operator is done.
-                    ready_cpu_restore.iter().next().copied()
-                } else if let Some(&key) = ready_cpu_compute.iter().next() {
-                    Some(key)
-                } else {
-                    ready_cpu_restore.iter().next().copied()
-                };
-                let Some(key) = pick else { break };
-                let id = key.1;
-                if ops[id].kind == PipeOpKind::CpuCompute {
-                    ready_cpu_compute.remove(&key);
-                } else {
-                    ready_cpu_restore.remove(&key);
-                }
-                start_op!(id);
-                cpu_free -= 1;
-            }
-        }};
-    }
-
-    dispatch!();
-
-    while completed < n {
-        let std::cmp::Reverse(event) = events
+    sched.dispatch();
+    while completed < plan.ops.len() {
+        let Reverse(event) = sched
+            .events
             .pop()
             .expect("pipeline deadlocked: no runnable operator");
-        let Completion { at, id, resource } = event;
-        now = at;
-        makespan = makespan.max(at);
-        match resource {
-            ResourceClass::Cpu => cpu_free += 1,
-            ResourceClass::Npu => npu_free = true,
-            ResourceClass::Io => io_free = true,
+        if sched.complete(event) {
+            completed += 1;
         }
-        running = running.saturating_sub(1);
-        completed += 1;
-        if ops[id].kind.is_restoration() {
-            restoration_done += 1;
-        }
-        let dependents = ops[id].dependents.clone();
-        for dep in dependents {
-            ops[dep].deps_remaining -= 1;
-            if ops[dep].deps_remaining == 0 {
-                let op = ops[dep].clone();
-                add_ready(
-                    dep,
-                    &op,
-                    &mut ready_cpu_compute,
-                    &mut ready_cpu_restore,
-                    &mut ready_npu,
-                    &mut ready_io,
-                );
-            }
-        }
-        dispatch!();
+        sched.dispatch();
     }
 
+    // Events pop in time order, so the last completion is the makespan.
     PipelineResult {
-        makespan: makespan - SimTime::ZERO,
-        busy_alloc: busy[0],
-        busy_load: busy[1],
-        busy_decrypt: busy[2],
-        busy_cpu_compute: busy[3],
-        busy_npu_compute: busy[4],
-        trace,
+        makespan: sched.now - SimTime::ZERO,
+        busy_alloc: sched.busy[0],
+        busy_load: sched.busy[1],
+        busy_decrypt: sched.busy[2],
+        busy_cpu_compute: sched.busy[3],
+        busy_npu_compute: sched.busy[4],
+        trace: sched.trace,
     }
 }
 
@@ -550,5 +569,84 @@ mod tests {
             }
         }
         assert!(io_npu.find_resource_conflict().is_none());
+    }
+
+    /// SHA-256 of every policy × quantum × trace outcome over a grid of
+    /// plans, recorded from the scheduler that expanded micro-operators
+    /// eagerly.  Any change to a makespan, a busy time or a span (name,
+    /// kind, resource, start or end) changes the digest.
+    const GOLDEN_DIGEST: &str = "4bf7d869a81149c440f7513b2efb218b36fbd833ffa6c6d7ad4a8be17137c677";
+
+    #[test]
+    fn schedules_match_the_golden_digest() {
+        use std::fmt::Write;
+        let mut hasher = tz_crypto::Sha256::new();
+        let mut line = String::new();
+        for profile in [
+            tz_hal::PlatformProfile::rk3588(),
+            tz_hal::PlatformProfile::rk3566(),
+        ] {
+            let cost = CostModel::rk3588();
+            let rates = RestoreRates::from_profile(&profile, 0.8, profile.cma_migration_threads);
+            for model in ModelSpec::catalogue() {
+                for prompt in [1usize, 32, 128, 512] {
+                    let graph = ComputationGraph::prefill(&model, prompt);
+                    let times: Vec<SimDuration> =
+                        graph.ops.iter().map(|o| cost.op_time(o)).collect();
+                    for cached_fraction in [0.0, 0.37, 1.0] {
+                        let cached = (graph.total_param_bytes() as f64 * cached_fraction) as u64;
+                        let plan = RestorePlan::build(&graph, |i| times[i], &rates, cached);
+                        for policy in [
+                            Policy::Sequential,
+                            Policy::Priority,
+                            Policy::PriorityPreemptive,
+                        ] {
+                            for (quantum_ms, record_trace) in [(0u64, false), (2, true)] {
+                                let r = simulate(
+                                    &plan,
+                                    &PipelineConfig {
+                                        cpu_cores: profile.big_cores,
+                                        preempt_quantum: SimDuration::from_millis(quantum_ms),
+                                        policy,
+                                        record_trace,
+                                    },
+                                );
+                                line.clear();
+                                let _ = writeln!(
+                                    line,
+                                    "{} {} {} {} {} {} {} {}",
+                                    r.makespan.as_nanos(),
+                                    r.busy_alloc.as_nanos(),
+                                    r.busy_load.as_nanos(),
+                                    r.busy_decrypt.as_nanos(),
+                                    r.busy_cpu_compute.as_nanos(),
+                                    r.busy_npu_compute.as_nanos(),
+                                    r.trace.len(),
+                                    plan.ops.len(),
+                                );
+                                for s in r.trace.spans() {
+                                    let _ = writeln!(
+                                        line,
+                                        "{}|{}|{}|{}|{}",
+                                        s.name,
+                                        s.kind.label(),
+                                        s.resource,
+                                        s.start.as_nanos(),
+                                        s.end.as_nanos()
+                                    );
+                                }
+                                hasher.update(line.as_bytes());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        let digest: String = hasher
+            .finalize()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(digest, GOLDEN_DIGEST);
     }
 }

@@ -316,7 +316,10 @@ impl RestorePlan {
         }
     }
 
-    /// Verifies structural invariants (dense ids, acyclic backward deps).
+    /// Verifies structural invariants: dense ids, acyclic backward deps, and
+    /// a `compute_index` that never decreases with id (the pipeline
+    /// scheduler's ready queues take the lowest id as the lowest
+    /// `compute_index`).
     pub fn validate(&self) -> Result<(), String> {
         for (i, op) in self.ops.iter().enumerate() {
             if op.id != i {
@@ -324,6 +327,14 @@ impl RestorePlan {
             }
             if op.deps.iter().any(|&d| d >= i) {
                 return Err(format!("op {i} has a forward dependency"));
+            }
+            if i > 0 && op.compute_index < self.ops[i - 1].compute_index {
+                return Err(format!(
+                    "op {i} has compute index {} below op {}'s {}",
+                    op.compute_index,
+                    i - 1,
+                    self.ops[i - 1].compute_index
+                ));
             }
         }
         Ok(())
@@ -449,5 +460,15 @@ mod tests {
                 _ => assert!(!op.preemptible),
             }
         }
+    }
+
+    #[test]
+    fn validate_rejects_a_decreasing_compute_index() {
+        let (_, mut plan) = plan_for(&ModelSpec::nano(), 8, 0);
+        plan.validate().unwrap();
+        let last = plan.ops.len() - 1;
+        plan.ops[last].compute_index = 0;
+        let err = plan.validate().unwrap_err();
+        assert!(err.contains("compute index"), "{err}");
     }
 }

@@ -92,6 +92,97 @@ fn pipeline_makespan_is_bounded() {
     }
 }
 
+/// Under preemption every allocation and decryption operator runs as a chain
+/// of micro-operators `#0..#k-1` with `k = ceil(duration / quantum)`: in order,
+/// never overlapping, and summing to the operator's duration.  An operator
+/// that is not split runs as one unsuffixed span.  At no instant are more
+/// CPU spans open than there are cores.
+#[test]
+fn preemptive_micro_operator_chains_tile_each_operator() {
+    let mut rng = DetRng::new(0x6d696372); // "micr"
+    let mut split_ops = 0usize;
+    for case in 0..CASES {
+        let layers = rng.gen_range(1, 5) as usize;
+        let hidden = ((rng.gen_range(256, 2048) as usize) / 64) * 64;
+        let prompt = rng.gen_range(1, 128) as usize;
+        let cached_frac = rng.next_f64() * 0.5;
+        let quantum = SimDuration::from_micros(rng.gen_range(0, 5001));
+        let cpu_cores = rng.gen_range(1, 5) as usize;
+        let profile = rng
+            .choose(&[PlatformProfile::rk3588(), PlatformProfile::rk3566()])
+            .clone();
+
+        let model = small_model(layers, hidden);
+        let graph = ComputationGraph::prefill(&model, prompt);
+        let cost = CostModel::rk3588();
+        let rates = RestoreRates::from_profile(&profile, 0.5, profile.cma_migration_threads);
+        let times: Vec<SimDuration> = graph.ops.iter().map(|o| cost.op_time(o)).collect();
+        let cached = (graph.total_param_bytes() as f64 * cached_frac) as u64;
+        let plan = RestorePlan::build(&graph, |i| times[i], &rates, cached);
+        let result = simulate(
+            &plan,
+            &PipelineConfig {
+                cpu_cores,
+                preempt_quantum: quantum,
+                policy: Policy::PriorityPreemptive,
+                record_trace: true,
+            },
+        );
+        let ctx = format!("case {case} ({layers}l/{hidden}h/{prompt}p/{quantum}q/{cpu_cores}c)");
+
+        // Spans grouped by their operator's label, in trace (start) order.
+        let mut by_op: std::collections::HashMap<&str, Vec<&sim_core::Span>> =
+            std::collections::HashMap::new();
+        for s in result.trace.spans() {
+            let op = s.name.rsplit_once('#').map_or(&*s.name, |(op, _)| op);
+            by_op.entry(op).or_default().push(s);
+        }
+        assert_eq!(by_op.len(), plan.ops.len(), "{ctx}: one span chain per op");
+        for op in &plan.ops {
+            let label = op.label.to_string();
+            let spans = &by_op[label.as_str()];
+            let pieces = if op.preemptible && !quantum.is_zero() && op.duration > quantum {
+                op.duration.as_nanos().div_ceil(quantum.as_nanos()) as usize
+            } else {
+                1
+            };
+            assert_eq!(spans.len(), pieces, "{ctx}: {label} piece count");
+            if pieces == 1 {
+                assert_eq!(&*spans[0].name, label, "{ctx}");
+            } else {
+                split_ops += 1;
+                for (i, s) in spans.iter().enumerate() {
+                    assert_eq!(*s.name, format!("{label}#{i}"), "{ctx}");
+                }
+            }
+            for pair in spans.windows(2) {
+                assert!(pair[0].end <= pair[1].start, "{ctx}: {label} overlaps");
+            }
+            let total: SimDuration = spans.iter().map(|s| s.duration()).sum();
+            assert_eq!(total, op.duration, "{ctx}: {label} duration");
+        }
+
+        // CPU capacity: sweep span starts and ends, ends first at ties.
+        let mut edges: Vec<(sim_core::SimTime, i32)> = result
+            .trace
+            .spans()
+            .iter()
+            .filter(|s| &*s.resource == "cpu")
+            .flat_map(|s| [(s.start, 1), (s.end, -1)])
+            .collect();
+        edges.sort();
+        let mut open = 0i32;
+        for (at, delta) in edges {
+            open += delta;
+            assert!(
+                open <= cpu_cores as i32,
+                "{ctx}: {open} CPU spans open at {at}"
+            );
+        }
+    }
+    assert!(split_ops > 0, "no case split an operator");
+}
+
 /// Restoration accounting: cached + restored always equals the model size,
 /// regardless of where the cache boundary falls.
 #[test]
