@@ -9,6 +9,9 @@
 //!   full cold start (framework init, sequential CMA allocation, load,
 //!   decryption) and CPU-only computation.
 //! * **TZ-LLM** — this paper's system (see [`crate::system`]).
+//!
+//! Each baseline here is only data: a `SystemSpec` run by the one plan →
+//! simulate → report core in [`crate::system`] that TZ-LLM also uses.
 
 use sim_core::SimDuration;
 use tz_hal::PlatformProfile;
@@ -17,11 +20,9 @@ use tz_hal::PlatformProfile;
 use llm::ModelSpec;
 use llm::{ComputationGraph, CostModel};
 
-use crate::pipeline::{simulate, PipelineConfig, Policy};
-use crate::restore::{RestorePlan, RestoreRates};
-use crate::system::{
-    cma_occupancy, evaluate_tzllm, InferenceConfig, InferenceReport, TtftBreakdown,
-};
+use crate::pipeline::Policy;
+use crate::restore::RestoreRates;
+use crate::system::{cma_occupancy, evaluate_tzllm, InferenceConfig, InferenceReport, SystemSpec};
 
 /// The systems compared in the evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,15 +60,18 @@ impl SystemKind {
     }
 }
 
-/// Restoration rates for the REE-LLM-Flash baseline: buddy-system allocation
-/// (no migration), no decryption.
-fn ree_flash_rates(profile: &PlatformProfile) -> RestoreRates {
-    RestoreRates {
-        flash: profile.flash_bandwidth(),
-        alloc_secs_per_byte: profile.page_alloc_ns as f64 * 1e-9 / tz_hal::PAGE_SIZE as f64,
-        alloc_fixed: SimDuration::ZERO,
-        // No decryption: model the step as effectively free.
-        decrypt: sim_core::Bandwidth::from_bytes_per_sec(1e18),
+/// The Strawman as data: a full cold start, restoration with a single CMA
+/// migration thread, sequential scheduling and CPU-only computation.
+fn strawman(profile: &PlatformProfile, config: &InferenceConfig) -> SystemSpec {
+    let occupancy = cma_occupancy(&config.model, config.memory_pressure);
+    SystemSpec {
+        npu: false,
+        rates: RestoreRates::from_profile(profile, occupancy, 1),
+        cached_fraction: 0.0,
+        policy: Policy::Sequential,
+        framework_init: profile.framework_init_total(),
+        npu_overhead: SimDuration::ZERO,
+        decode_handoff: SimDuration::ZERO,
     }
 }
 
@@ -77,134 +81,33 @@ pub fn evaluate(
     profile: &PlatformProfile,
     config: &InferenceConfig,
 ) -> InferenceReport {
-    let cost = CostModel::rk3588();
-    match system {
-        SystemKind::TzLlm => evaluate_tzllm(profile, config),
-
-        SystemKind::ReeLlmMemory => {
-            // Warm framework, parameters resident, NPU without world switches.
-            let graph = ComputationGraph::prefill(&config.model, config.prompt_len);
-            let times: Vec<SimDuration> = graph.ops.iter().map(|o| cost.op_time(o)).collect();
-            let rates = ree_flash_rates(profile);
-            let plan = RestorePlan::build(&graph, |i| times[i], &rates, graph.total_param_bytes());
-            let critical_paths = plan.critical_paths();
-            let result = simulate(
-                &plan,
-                &PipelineConfig {
-                    cpu_cores: profile.big_cores,
-                    preempt_quantum: SimDuration::from_millis(2),
-                    policy: Policy::PriorityPreemptive,
-                    record_trace: false,
-                },
-            );
-            let breakdown = TtftBreakdown {
-                framework_init: SimDuration::ZERO,
-                working_alloc: profile.kv_cache_alloc + profile.activation_alloc,
-                pipeline: result.makespan,
-                npu_overhead: SimDuration::ZERO,
-                ..TtftBreakdown::default()
-            };
-            InferenceReport {
-                ttft: breakdown.total(),
-                decode_tokens_per_sec: cost.decode_tokens_per_sec(
-                    &config.model,
-                    config.prompt_len + config.output_len,
-                    true,
-                ),
-                breakdown,
-                restoration_cpu: SimDuration::ZERO,
-                critical_paths,
-                npu_busy: result.busy_npu_compute,
-                restored_bytes: 0,
-            }
-        }
-
-        SystemKind::ReeLlmFlash => {
-            let graph = ComputationGraph::prefill(&config.model, config.prompt_len);
-            let times: Vec<SimDuration> = graph.ops.iter().map(|o| cost.op_time(o)).collect();
-            let rates = ree_flash_rates(profile);
-            let cached =
-                (graph.total_param_bytes() as f64 * config.cached_fraction.clamp(0.0, 1.0)) as u64;
-            let plan = RestorePlan::build(&graph, |i| times[i], &rates, cached);
-            let critical_paths = plan.critical_paths();
-            let result = simulate(
-                &plan,
-                &PipelineConfig {
-                    cpu_cores: profile.big_cores,
-                    preempt_quantum: SimDuration::from_millis(2),
-                    policy: Policy::PriorityPreemptive,
-                    record_trace: false,
-                },
-            );
-            let breakdown = TtftBreakdown {
-                framework_init: SimDuration::ZERO,
-                working_alloc: profile.kv_cache_alloc + profile.activation_alloc,
-                pipeline: result.makespan,
-                npu_overhead: SimDuration::ZERO,
-                ..TtftBreakdown::default()
-            };
-            InferenceReport {
-                ttft: breakdown.total(),
-                decode_tokens_per_sec: cost.decode_tokens_per_sec(
-                    &config.model,
-                    config.prompt_len + config.output_len,
-                    true,
-                ),
-                breakdown,
-                restoration_cpu: result.restoration_cpu_time(),
-                critical_paths,
-                npu_busy: result.busy_npu_compute,
-                restored_bytes: plan.restored_bytes,
-            }
-        }
-
-        SystemKind::Strawman => {
-            // Cold start, sequential restoration, CPU-only computation.
-            let graph = ComputationGraph::prefill(&config.model, config.prompt_len);
-            let times: Vec<SimDuration> =
-                graph.ops.iter().map(|o| cost.op_time_cpu_only(o)).collect();
-            let occupancy = cma_occupancy(&config.model, config.memory_pressure);
-            // The strawman allocates with a single migration thread.
-            let rates = RestoreRates::from_profile(profile, occupancy, 1);
-            let mut plan = RestorePlan::build(&graph, |i| times[i], &rates, 0);
-            // No NPU in the TEE: every computation operator runs on the CPU.
-            for op in &mut plan.ops {
-                if op.kind == crate::restore::PipeOpKind::NpuCompute {
-                    op.kind = crate::restore::PipeOpKind::CpuCompute;
-                }
-            }
-            let critical_paths = plan.critical_paths();
-            let result = simulate(
-                &plan,
-                &PipelineConfig {
-                    cpu_cores: profile.big_cores,
-                    preempt_quantum: SimDuration::from_millis(2),
-                    policy: Policy::Sequential,
-                    record_trace: false,
-                },
-            );
-            let breakdown = TtftBreakdown {
-                framework_init: profile.framework_init_total(),
-                working_alloc: profile.kv_cache_alloc + profile.activation_alloc,
-                pipeline: result.makespan,
-                npu_overhead: SimDuration::ZERO,
-                ..TtftBreakdown::default()
-            };
-            InferenceReport {
-                ttft: breakdown.total(),
-                decode_tokens_per_sec: cost.decode_tokens_per_sec(
-                    &config.model,
-                    config.prompt_len + config.output_len,
-                    false,
-                ),
-                breakdown,
-                restoration_cpu: result.restoration_cpu_time(),
-                critical_paths,
-                npu_busy: result.busy_npu_compute,
-                restored_bytes: plan.restored_bytes,
-            }
-        }
-    }
+    let spec = match system {
+        SystemKind::TzLlm => return evaluate_tzllm(profile, config),
+        SystemKind::Strawman => strawman(profile, config),
+        // Unmodified llama.cpp in the REE: warm framework, NPU without world
+        // switches.  REE-LLM-Memory has every parameter preloaded.
+        SystemKind::ReeLlmMemory | SystemKind::ReeLlmFlash => SystemSpec {
+            npu: true,
+            // Buddy-system allocation (no migration), no decryption (modelled
+            // as effectively free).
+            rates: RestoreRates {
+                flash: profile.flash_bandwidth(),
+                alloc_secs_per_byte: profile.page_alloc_ns as f64 * 1e-9 / tz_hal::PAGE_SIZE as f64,
+                alloc_fixed: SimDuration::ZERO,
+                decrypt: sim_core::Bandwidth::from_bytes_per_sec(1e18),
+            },
+            cached_fraction: if system == SystemKind::ReeLlmMemory {
+                1.0
+            } else {
+                config.cached_fraction
+            },
+            policy: Policy::PriorityPreemptive,
+            framework_init: SimDuration::ZERO,
+            npu_overhead: SimDuration::ZERO,
+            decode_handoff: SimDuration::ZERO,
+        },
+    };
+    spec.evaluate(profile, config)
 }
 
 /// The Figure-1 style cold-start breakdown of the strawman workflow.
@@ -215,8 +118,7 @@ pub fn strawman_breakdown(
     let cost = CostModel::rk3588();
     let graph = ComputationGraph::prefill(&config.model, config.prompt_len);
     let total_bytes = graph.total_param_bytes();
-    let occupancy = cma_occupancy(&config.model, config.memory_pressure);
-    let rates = RestoreRates::from_profile(profile, occupancy, 1);
+    let rates = strawman(profile, config).rates;
 
     let cpu_prefill: SimDuration = graph.ops.iter().map(|o| cost.op_time_cpu_only(o)).sum();
     vec![
@@ -353,6 +255,77 @@ mod tests {
         // The full strawman TTFT is dominated by the CPU prefill.
         let total: f64 = breakdown.iter().map(|(_, d)| d.as_secs_f64()).sum();
         assert!(total > 140.0 && total < 230.0, "total = {total}");
+    }
+
+    /// Pins every field of every `evaluate` report, for all four systems,
+    /// over a grid of models, prompts, cache states, policies, checkpoint
+    /// presence, memory pressure and SoCs.  Any change to what `evaluate`
+    /// returns — even one ULP of the decode rate — moves the digest.
+    #[test]
+    fn evaluate_reports_match_the_golden_digest() {
+        use tz_crypto::Sha256;
+
+        let mut reports = Vec::new();
+        for profile in [PlatformProfile::rk3588(), PlatformProfile::rk3566()] {
+            for model in ModelSpec::catalogue() {
+                for prompt_len in [1usize, 32, 128, 512] {
+                    for cached_fraction in [0.0, 0.37, 1.0] {
+                        for policy in [
+                            Policy::Sequential,
+                            Policy::Priority,
+                            Policy::PriorityPreemptive,
+                        ] {
+                            for use_checkpoint in [true, false] {
+                                let mut cfg =
+                                    InferenceConfig::paper_default(model.clone(), prompt_len);
+                                cfg.cached_fraction = cached_fraction;
+                                cfg.policy = policy;
+                                cfg.use_checkpoint = use_checkpoint;
+                                for memory_pressure in [cfg.memory_pressure, 0] {
+                                    cfg.memory_pressure = memory_pressure;
+                                    for system in SystemKind::all() {
+                                        reports.push(evaluate(system, &profile, &cfg));
+                                    }
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert_eq!(reports.len(), 2 * 4 * 4 * 3 * 3 * 2 * 2 * 4);
+        let mut hasher = Sha256::new();
+        let mut put = |word: u64| hasher.update(&word.to_le_bytes());
+        for r in &reports {
+            let b = r.breakdown;
+            let c = r.critical_paths;
+            for d in [
+                r.ttft,
+                b.framework_init,
+                b.working_alloc,
+                b.pipeline,
+                b.npu_overhead,
+                b.kv_restore,
+                r.restoration_cpu,
+                c.io,
+                c.cpu,
+                c.compute,
+                r.npu_busy,
+            ] {
+                put(d.as_nanos());
+            }
+            put(r.decode_tokens_per_sec.to_bits());
+            put(r.restored_bytes);
+        }
+        let hex: String = hasher
+            .finalize()
+            .iter()
+            .map(|b| format!("{b:02x}"))
+            .collect();
+        assert_eq!(
+            hex,
+            "08632c2a15fa2ee8295a8a20424cf53b5fc1a6fe2d87eea933d7a09e898ce0d1"
+        );
     }
 
     #[test]

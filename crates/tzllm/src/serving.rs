@@ -137,7 +137,7 @@ use crate::cache::{CacheController, CachePolicy};
 use crate::kv::{ChainStoreStats, KvConfig, KvPool};
 use crate::pipeline::Policy;
 use crate::restore::RestoreRates;
-use crate::system::{self, InferenceReport, PlanCache, ServiceParams};
+use crate::system::{self, InferenceReport, PlanCache, PlanLookup, ServiceParams};
 
 /// Restore-ahead progress is credited to the cache in whole multiples of
 /// this quantum, which keeps the plan cache's `cached_bytes` key space small
@@ -1185,8 +1185,6 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     let report = {
         let params = ServiceParams {
             model: &state.models[midx].spec,
-            model_key: qreq.model.0,
-            total_param_bytes: state.models[midx].graph_param_bytes,
             prompt_len: qreq.prompt_len,
             reused_prefix: kv_reuse.reused_tokens,
             output_len: qreq.output_len,
@@ -1199,7 +1197,11 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
             &params,
             framework_init,
             kv_unseal,
-            Some(&mut state.plan_cache),
+            Some(PlanLookup {
+                cache: &mut state.plan_cache,
+                model_key: qreq.model.0,
+                total_param_bytes: state.models[midx].graph_param_bytes,
+            }),
         )
     };
     state.models[midx].warm = true;
@@ -2255,7 +2257,15 @@ fn model_entry(
 impl Server {
     /// Creates a server over a model catalogue. Each model gets its own cold
     /// [`CacheController`].
+    ///
+    /// # Panics
+    /// Panics if `config.max_inflight` is zero (no request could ever be
+    /// dispatched) or if speculation names an unknown draft model.
     pub fn new(config: ServingConfig, catalogue: Vec<ModelSpec>) -> Server {
+        assert!(
+            config.max_inflight > 0,
+            "ServingConfig::max_inflight must be at least 1"
+        );
         let mut ledger = CapacityLedger::new();
         let lane_npu = ledger.add_lane("npu", 1);
         let lane_flash = ledger.add_lane("flash", 1);
@@ -2813,53 +2823,6 @@ fn fleet_stats(state: &ServerState) -> FleetStats {
     }
 }
 
-/// Runs one request through a one-model serving instance — the serving-path
-/// implementation behind [`crate::system::evaluate_tzllm`].  Uses the serial
-/// dispatcher with the plan cache off so the single-request numbers are
-/// byte-identical to a direct evaluation.
-pub fn single_request(
-    profile: &PlatformProfile,
-    config: &crate::system::InferenceConfig,
-) -> InferenceReport {
-    let serving_config = ServingConfig {
-        profile: profile.clone(),
-        policy: config.policy,
-        use_checkpoint: config.use_checkpoint,
-        memory_pressure: config.memory_pressure,
-        max_queue_depth: 1,
-        retention: RetentionPolicy::ReleaseAll,
-        max_inflight: 1,
-        restore_ahead: false,
-        continuous_batching: false,
-        prefill_chunk_tokens: 128,
-        plan_cache_capacity: 0,
-        kv: KvConfig::disabled(),
-        speculation: SpeculationConfig::off(),
-        telemetry: false,
-        metrics: None,
-    };
-    let mut server = Server::new(serving_config, vec![config.model.clone()]);
-    // Seed in the controller's own unit (the model's Q8 blob size) so the
-    // fraction read back at dispatch equals the configured knob exactly.
-    let seed_bytes =
-        (config.model.total_q8_bytes() as f64 * config.cached_fraction.clamp(0.0, 1.0)) as u64;
-    server.seed_cache(&config.model.name, seed_bytes);
-    server.submit_at(
-        SimTime::ZERO,
-        0,
-        &config.model.name,
-        config.prompt_len,
-        config.output_len,
-    );
-    let report = server.run();
-    report
-        .records
-        .into_iter()
-        .next()
-        .expect("the single request completes")
-        .report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2875,6 +2838,17 @@ mod tests {
             requests,
             "qwen2.5-3b",
         )
+    }
+
+    /// A zero in-flight budget would strand every submitted request in the
+    /// queue (nothing completes, nothing is rejected); it is refused up
+    /// front instead.
+    #[test]
+    #[should_panic(expected = "max_inflight must be at least 1")]
+    fn zero_max_inflight_is_refused() {
+        let mut config = ServingConfig::paper_default(PlatformProfile::rk3588());
+        config.max_inflight = 0;
+        let _ = Server::new(config, catalogue());
     }
 
     #[test]

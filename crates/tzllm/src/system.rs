@@ -10,10 +10,10 @@ use std::collections::HashMap;
 use sim_core::SimDuration;
 use tz_hal::PlatformProfile;
 
-use llm::{ComputationGraph, CostModel, ModelSpec};
+use llm::{ComputationGraph, CostModel, Device, ModelSpec};
 
 use crate::cache::CacheController;
-use crate::pipeline::{simulate, PipelineConfig, PipelineResult, Policy};
+use crate::pipeline::{simulate, PipelineConfig, Policy};
 use crate::restore::{CriticalPaths, RestorePlan, RestoreRates};
 
 /// Configuration of one evaluated inference request.
@@ -57,16 +57,6 @@ impl InferenceConfig {
             policy: Policy::PriorityPreemptive,
             use_checkpoint: true,
         }
-    }
-
-    /// The paper-default configuration, but with the cached fraction taken
-    /// from the *live* state of a [`CacheController`] instead of a hand-set
-    /// knob — this is how the serving layer builds per-dispatch
-    /// configurations (§4.1 partial parameter caching across requests).
-    pub fn from_cache(model: ModelSpec, prompt_len: usize, cache: &CacheController) -> Self {
-        let mut config = Self::paper_default(model, prompt_len);
-        config.cached_fraction = cache.cached_fraction();
-        config
     }
 }
 
@@ -124,9 +114,8 @@ pub struct InferenceReport {
 }
 
 /// Memoises the expensive middle of the crate-internal `evaluate_service`
-/// step: building the
-/// prefill graph, extending it into a [`RestorePlan`] (hundreds of
-/// operators) and simulating the pipeline schedule.
+/// step: building the prefill graph, extending it into a [`RestorePlan`]
+/// (hundreds of operators) and simulating the pipeline schedule.
 ///
 /// The result is fully determined by `(model, prompt_len, cached_bytes,
 /// output_len, memory pressure, policy)`, all of which recur heavily in
@@ -187,44 +176,125 @@ impl PlanCache {
         self.misses
     }
 
-    fn get(&mut self, key: &PlanKey) -> Option<PlanEntry> {
-        if self.capacity == 0 {
-            self.misses += 1;
-            return None;
+    /// The cached entry for `key`, or a freshly built one (memoised
+    /// unless the cache is disabled).
+    fn get_or_build(&mut self, key: PlanKey, build: impl FnOnce() -> PlanEntry) -> PlanEntry {
+        if let Some(entry) = self.map.get(&key) {
+            self.hits += 1;
+            return *entry;
         }
-        match self.map.get(key) {
-            Some(entry) => {
-                self.hits += 1;
-                Some(*entry)
+        self.misses += 1;
+        let entry = build();
+        if self.capacity > 0 {
+            if self.map.len() >= self.capacity {
+                self.map.clear();
             }
-            None => {
-                self.misses += 1;
-                None
-            }
+            self.map.insert(key, entry);
         }
-    }
-
-    fn insert(&mut self, key: PlanKey, entry: PlanEntry) {
-        if self.capacity == 0 {
-            return;
-        }
-        if self.map.len() >= self.capacity {
-            self.map.clear();
-        }
-        self.map.insert(key, entry);
+        entry
     }
 }
 
-/// Dispatch-time inputs of one service evaluation, borrowed from the serving
-/// layer's interned model table (no per-dispatch `ModelSpec` clone).
+/// One evaluated system as data.  The four systems of §7 differ only in
+/// these inputs to [`SystemSpec::plan`] and [`SystemSpec::report`], the one
+/// path from a prefill to an [`InferenceReport`].
+pub(crate) struct SystemSpec {
+    /// Whether the system computes on the NPU.  Without one (no NPU in the
+    /// TEE) every operator is priced, scheduled and decoded on the CPU.
+    pub npu: bool,
+    /// Allocation, flash and decryption rates of the restoration operators.
+    pub rates: RestoreRates,
+    /// Fraction of the parameter blob already resident.
+    pub cached_fraction: f64,
+    /// Pipeline scheduling policy.
+    pub policy: Policy,
+    /// Framework initialisation before the pipeline starts.
+    pub framework_init: SimDuration,
+    /// World-switch overhead of the prefill's NPU jobs.
+    pub npu_overhead: SimDuration,
+    /// Extra time every decoded token pays (TZ-LLM's NPU handoffs).
+    pub decode_handoff: SimDuration,
+}
+
+impl SystemSpec {
+    /// Evaluates this system on one fresh request (no reused KV prefix).
+    pub fn evaluate(&self, profile: &PlatformProfile, config: &InferenceConfig) -> InferenceReport {
+        let graph = ComputationGraph::prefill(&config.model, config.prompt_len);
+        let entry = self.plan(profile, graph, config.prompt_len + config.output_len);
+        self.report(profile, &entry, SimDuration::ZERO)
+    }
+
+    /// The evaluation core: prefill graph → op times → [`RestorePlan`] →
+    /// critical paths → pipeline schedule, plus the decode rate at a
+    /// `decode_len`-token context.
+    fn plan(
+        &self,
+        profile: &PlatformProfile,
+        mut graph: ComputationGraph,
+        decode_len: usize,
+    ) -> PlanEntry {
+        let cost = CostModel::rk3588();
+        if !self.npu {
+            // Every operator is priced and scheduled on the CPU.
+            graph.ops.iter_mut().for_each(|op| op.device = Device::Cpu);
+        }
+        let times: Vec<SimDuration> = graph.ops.iter().map(|o| cost.op_time(o)).collect();
+        let cached =
+            (graph.total_param_bytes() as f64 * self.cached_fraction.clamp(0.0, 1.0)) as u64;
+        let plan = RestorePlan::build(&graph, |i| times[i], &self.rates, cached);
+        let pipe_cfg = PipelineConfig {
+            cpu_cores: profile.big_cores,
+            preempt_quantum: SimDuration::from_millis(2),
+            policy: self.policy,
+            record_trace: false,
+        };
+        let result = simulate(&plan, &pipe_cfg);
+        let decode_token =
+            cost.decode_token_time(&graph.model, decode_len, self.npu) + self.decode_handoff;
+        PlanEntry {
+            pipeline: result.makespan,
+            npu_busy: result.busy_npu_compute,
+            restoration_cpu: result.restoration_cpu_time(),
+            critical_paths: plan.critical_paths(),
+            restored_bytes: plan.restored_bytes,
+            decode_tokens_per_sec: 1.0 / decode_token.as_secs_f64(),
+        }
+    }
+
+    /// The report of a simulated plan.  `kv_unseal` is the time to verify
+    /// and decrypt the sealed part of a reused KV prefix.
+    fn report(
+        &self,
+        profile: &PlatformProfile,
+        entry: &PlanEntry,
+        kv_unseal: SimDuration,
+    ) -> InferenceReport {
+        let breakdown = TtftBreakdown {
+            framework_init: self.framework_init,
+            working_alloc: profile.kv_cache_alloc + profile.activation_alloc,
+            pipeline: entry.pipeline,
+            npu_overhead: self.npu_overhead,
+            // Unsealing streams on the CPU decrypt threads while the prefill
+            // computes on the NPU; only the part the NPU window cannot hide
+            // is serial TTFT.
+            kv_restore: kv_unseal.saturating_sub(entry.npu_busy),
+        };
+        InferenceReport {
+            ttft: breakdown.total(),
+            decode_tokens_per_sec: entry.decode_tokens_per_sec,
+            breakdown,
+            restoration_cpu: entry.restoration_cpu,
+            critical_paths: entry.critical_paths,
+            npu_busy: entry.npu_busy,
+            restored_bytes: entry.restored_bytes,
+        }
+    }
+}
+
+/// Dispatch-time inputs of one service evaluation (the serving layer
+/// borrows the model from its interned table: no per-dispatch clone).
 pub(crate) struct ServiceParams<'a> {
     pub model: &'a ModelSpec,
-    /// Interned model identity for plan-cache keying.
-    pub model_key: u32,
-    /// `ComputationGraph::total_param_bytes()` for this model, precomputed
-    /// once per model (prompt-length independent) so cache hits never build
-    /// a graph just to turn the cached fraction into a byte count.
-    pub total_param_bytes: u64,
     pub prompt_len: usize,
     /// Leading prompt tokens whose KV state is reused from the secure KV
     /// pool (multi-turn prefix reuse): the prefill graph only processes the
@@ -237,6 +307,17 @@ pub(crate) struct ServiceParams<'a> {
     pub policy: Policy,
 }
 
+/// A plan cache together with what keys the dispatched model's entries.
+pub(crate) struct PlanLookup<'c> {
+    pub cache: &'c mut PlanCache,
+    /// Interned model identity (the serving layer's `ModelId`).
+    pub model_key: u32,
+    /// `ComputationGraph::total_param_bytes()` for this model, precomputed
+    /// once per model (prompt-length independent) so cache hits never build
+    /// a graph just to turn the cached fraction into a byte count.
+    pub total_param_bytes: u64,
+}
+
 /// The CMA occupancy implied by a given memory pressure: the fraction of the
 /// to-be-allocated parameter region that must be migrated.
 pub fn cma_occupancy(model: &ModelSpec, memory_pressure: u64) -> f64 {
@@ -246,26 +327,24 @@ pub fn cma_occupancy(model: &ModelSpec, memory_pressure: u64) -> f64 {
     (memory_pressure as f64 / model.total_q8_bytes() as f64).clamp(0.0, 1.0)
 }
 
-/// Evaluates the service time of one request with an explicit framework
-/// initialisation cost.
+/// Evaluates the service time of one TZ-LLM request: the entry point of
+/// both [`evaluate_tzllm`] and the serving layer ([`crate::serving`]),
+/// running the [`SystemSpec`] core the baselines use.
 ///
-/// This is the single evaluation core shared by [`evaluate_tzllm`] and the
-/// serving layer ([`crate::serving`]).  `params.cached_fraction` is the one
-/// source of truth for the cache state — the serving layer sets it from the
-/// live [`CacheController`] at dispatch time.  `framework_init` is
-/// dispatch-time state (a warm TA restores cheaply), so the caller decides
-/// it, as is `kv_unseal` (the time to verify + decrypt the sealed part of a
-/// reused KV prefix; it overlaps the prefill's NPU window and only its
-/// excess surfaces in the TTFT).  `plan_cache` (if any) memoises the
-/// graph/plan/pipeline work, which is deterministic in the remaining inputs;
-/// `framework_init` and `kv_unseal` are added on top of the cached pipeline
-/// numbers so warm and cold dispatches share entries.
+/// `params.cached_fraction` is the one source of truth for the cache state
+/// (the serving layer sets it from the live [`CacheController`]).
+/// `framework_init` (a warm TA restores cheaply) and `kv_unseal` (verifying
+/// and decrypting the sealed part of a reused KV prefix; only its excess
+/// over the prefill's NPU window surfaces in the TTFT) are dispatch-time
+/// state.  `plan_cache` (if any) memoises the graph/plan/pipeline work,
+/// which is deterministic in the remaining inputs, so warm and cold
+/// dispatches share entries.
 pub(crate) fn evaluate_service(
     profile: &PlatformProfile,
     params: &ServiceParams<'_>,
     framework_init: SimDuration,
     kv_unseal: SimDuration,
-    plan_cache: Option<&mut PlanCache>,
+    plan_cache: Option<PlanLookup<'_>>,
 ) -> InferenceReport {
     let model = params.model;
     debug_assert!(params.reused_prefix < params.prompt_len.max(1));
@@ -273,98 +352,69 @@ pub(crate) fn evaluate_service(
         .prompt_len
         .saturating_sub(params.reused_prefix)
         .max(1);
-    let cached = (params.total_param_bytes as f64 * params.cached_fraction.clamp(0.0, 1.0)) as u64;
-    let key = PlanKey {
-        model: params.model_key,
-        prompt_len: params.prompt_len as u32,
-        reused_prefix: params.reused_prefix as u32,
-        output_len: params.output_len as u32,
-        cached_bytes: cached,
-        memory_pressure: params.memory_pressure,
+    // One fused secure NPU job per layer, in prefill and per decoded token:
+    // each pays the co-driver switch in both directions plus the completion
+    // SMC.
+    let handoffs = profile.codriver_switch_cost() * 2 * model.layers as u64;
+    let occupancy = cma_occupancy(model, params.memory_pressure);
+    let spec = SystemSpec {
+        npu: true,
+        rates: RestoreRates::from_profile(profile, occupancy, profile.cma_migration_threads),
+        cached_fraction: params.cached_fraction,
         policy: params.policy,
+        framework_init,
+        npu_overhead: handoffs,
+        decode_handoff: handoffs,
     };
-
-    let mut plan_cache = plan_cache;
-    let entry = match plan_cache.as_mut().and_then(|c| c.get(&key)) {
-        Some(entry) => entry,
-        None => {
-            let cost = CostModel::rk3588();
-            // Only the suffix's tokens are processed, but their attention
-            // still spans the reused context — the suffix prefill is not
-            // priced as if the retained prefix were free compute.
-            let graph = ComputationGraph::prefill_suffix(model, new_tokens, params.prompt_len);
-            let occupancy = cma_occupancy(model, params.memory_pressure);
-            let rates =
-                RestoreRates::from_profile(profile, occupancy, profile.cma_migration_threads);
-            let times: Vec<SimDuration> = graph.ops.iter().map(|o| cost.op_time(o)).collect();
-            let plan = RestorePlan::build(&graph, |i| times[i], &rates, cached);
-            let critical_paths = plan.critical_paths();
-
-            let pipe_cfg = PipelineConfig {
-                cpu_cores: profile.big_cores,
-                preempt_quantum: SimDuration::from_millis(2),
+    let plan = || {
+        // Only the suffix's tokens are processed, but their attention still
+        // spans the reused context.
+        let graph = ComputationGraph::prefill_suffix(model, new_tokens, params.prompt_len);
+        spec.plan(profile, graph, params.prompt_len + params.output_len)
+    };
+    let entry = match plan_cache {
+        None => plan(),
+        Some(lookup) => {
+            let key = PlanKey {
+                model: lookup.model_key,
+                prompt_len: params.prompt_len as u32,
+                reused_prefix: params.reused_prefix as u32,
+                output_len: params.output_len as u32,
+                cached_bytes: (lookup.total_param_bytes as f64
+                    * params.cached_fraction.clamp(0.0, 1.0)) as u64,
+                memory_pressure: params.memory_pressure,
                 policy: params.policy,
-                record_trace: false,
             };
-            let result: PipelineResult = simulate(&plan, &pipe_cfg);
-
-            // Decoding: NPU-accelerated, paying one handoff per layer per
-            // token.
-            let per_handoff = profile.codriver_switch_cost() * 2;
-            let decode_base =
-                cost.decode_token_time(model, params.prompt_len + params.output_len, true);
-            let decode_token = decode_base + per_handoff * model.layers as u64;
-            let entry = PlanEntry {
-                pipeline: result.makespan,
-                npu_busy: result.busy_npu_compute,
-                restoration_cpu: result.restoration_cpu_time(),
-                critical_paths,
-                restored_bytes: plan.restored_bytes,
-                decode_tokens_per_sec: 1.0 / decode_token.as_secs_f64(),
-            };
-            if let Some(c) = plan_cache.as_mut() {
-                c.insert(key, entry);
-            }
-            entry
+            lookup.cache.get_or_build(key, plan)
         }
     };
-
-    // One fused secure NPU job per layer during prefill: each pays the
-    // co-driver switch in both directions plus the completion SMC.
-    let per_handoff = profile.codriver_switch_cost() * 2;
-    let npu_overhead = per_handoff * model.layers as u64;
-
-    let breakdown = TtftBreakdown {
-        framework_init,
-        working_alloc: profile.kv_cache_alloc + profile.activation_alloc,
-        pipeline: entry.pipeline,
-        npu_overhead,
-        // Unsealing streams on the CPU decrypt threads while the prefill
-        // computes on the NPU; only the part the NPU window cannot hide is
-        // serial TTFT.
-        kv_restore: kv_unseal.saturating_sub(entry.npu_busy),
-    };
-
-    InferenceReport {
-        ttft: breakdown.total(),
-        decode_tokens_per_sec: entry.decode_tokens_per_sec,
-        breakdown,
-        restoration_cpu: entry.restoration_cpu,
-        critical_paths: entry.critical_paths,
-        npu_busy: entry.npu_busy,
-        restored_bytes: entry.restored_bytes,
-    }
+    spec.report(profile, &entry, kv_unseal)
 }
 
-/// Evaluates TZ-LLM on one inference request.
-///
-/// Since the serving refactor this is a thin special case of the serving
-/// path: a [`crate::serving::Server`] with a one-model catalogue receives a
-/// single request at time zero, with its cache seeded to
-/// `config.cached_fraction` — so every figure binary exercises exactly the
-/// code the multi-session server runs.
+/// Evaluates TZ-LLM on one inference request: the first dispatch of a
+/// one-model serial [`crate::serving::Server`] whose cache is seeded to
+/// `config.cached_fraction` of the model's Q8 blob — a cold TA, no reused
+/// KV prefix, no plan cache.  The `evaluate_tzllm_matches_a_one_request_server`
+/// integration test keeps the two bit-for-bit equal.
 pub fn evaluate_tzllm(profile: &PlatformProfile, config: &InferenceConfig) -> InferenceReport {
-    crate::serving::single_request(profile, config)
+    let total_q8 = config.model.total_q8_bytes();
+    let mut cache = CacheController::new(total_q8);
+    cache.seed((total_q8 as f64 * config.cached_fraction.clamp(0.0, 1.0)) as u64);
+    let framework_init = if config.use_checkpoint {
+        profile.checkpoint_restore
+    } else {
+        profile.framework_init_total()
+    };
+    let params = ServiceParams {
+        model: &config.model,
+        prompt_len: config.prompt_len,
+        reused_prefix: 0,
+        output_len: config.output_len,
+        memory_pressure: config.memory_pressure,
+        cached_fraction: cache.cached_fraction(),
+        policy: config.policy,
+    };
+    evaluate_service(profile, &params, framework_init, SimDuration::ZERO, None)
 }
 
 #[cfg(test)]

@@ -169,3 +169,92 @@ fn graph_and_packed_layout_agree() {
         assert_eq!(slice.bytes, entry.bytes);
     }
 }
+
+/// Figures and serving agree: `evaluate_tzllm` (every paper figure) returns
+/// exactly the report a one-model serial `Server` gives its only request,
+/// cache seeded to the configured fraction, on every SoC and across models,
+/// prompts, cache states, policies, checkpoint presence and memory pressure.
+#[test]
+fn evaluate_tzllm_matches_a_one_request_server() {
+    use sim_core::SimTime;
+    use tzllm::serving::SpeculationConfig;
+    use tzllm::{evaluate_tzllm, KvConfig, Policy, RetentionPolicy, Server, ServingConfig};
+
+    // One request at time zero on a serial, plan-cache-free server.
+    fn served(profile: &PlatformProfile, config: &InferenceConfig) -> tzllm::InferenceReport {
+        let serving_config = ServingConfig {
+            profile: profile.clone(),
+            policy: config.policy,
+            use_checkpoint: config.use_checkpoint,
+            memory_pressure: config.memory_pressure,
+            max_queue_depth: 1,
+            retention: RetentionPolicy::ReleaseAll,
+            max_inflight: 1,
+            restore_ahead: false,
+            continuous_batching: false,
+            prefill_chunk_tokens: 128,
+            plan_cache_capacity: 0,
+            kv: KvConfig::disabled(),
+            speculation: SpeculationConfig::off(),
+            telemetry: false,
+            metrics: None,
+        };
+        let mut server = Server::new(serving_config, vec![config.model.clone()]);
+        // Seed in the controller's own unit (the model's Q8 blob size).
+        let seed_bytes =
+            (config.model.total_q8_bytes() as f64 * config.cached_fraction.clamp(0.0, 1.0)) as u64;
+        server.seed_cache(&config.model.name, seed_bytes);
+        server.submit_at(
+            SimTime::ZERO,
+            0,
+            &config.model.name,
+            config.prompt_len,
+            config.output_len,
+        );
+        let mut report = server.run();
+        assert_eq!(report.records.len(), 1);
+        report.records.remove(0).report
+    }
+
+    let mut checked = 0;
+    for profile in [
+        PlatformProfile::rk3588(),
+        PlatformProfile::rk3576(),
+        PlatformProfile::rk3566(),
+    ] {
+        for model in ModelSpec::catalogue()
+            .into_iter()
+            .chain(ModelSpec::drafts())
+        {
+            for prompt_len in [1usize, 32, 128, 512] {
+                for cached_fraction in [0.0, 0.37, 1.0] {
+                    for policy in [
+                        Policy::Sequential,
+                        Policy::Priority,
+                        Policy::PriorityPreemptive,
+                    ] {
+                        for use_checkpoint in [true, false] {
+                            let mut cfg = InferenceConfig::paper_default(model.clone(), prompt_len);
+                            cfg.cached_fraction = cached_fraction;
+                            cfg.policy = policy;
+                            cfg.use_checkpoint = use_checkpoint;
+                            for memory_pressure in [cfg.memory_pressure, 0] {
+                                cfg.memory_pressure = memory_pressure;
+                                let direct = format!("{:?}", evaluate_tzllm(&profile, &cfg));
+                                let server = format!("{:?}", served(&profile, &cfg));
+                                assert_eq!(
+                                    direct, server,
+                                    "{} {} @{prompt_len} cached {cached_fraction} {policy:?} \
+                                     checkpoint {use_checkpoint} pressure {memory_pressure}",
+                                    profile.soc, model.name
+                                );
+                                checked += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    assert!(checked > 1000, "{checked}");
+}
