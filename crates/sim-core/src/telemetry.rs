@@ -5,10 +5,12 @@
 //! track per request (its lifecycle tiles `[arrival, first_token]` exactly,
 //! so the span sum reconciles with the recorded TTFT), plus one track per
 //! device lane (step/chunk/draft spans, occupancy intervals derived from
-//! the [`crate::resource::CapacityLedger`] journal).  A counter / gauge /
-//! histogram registry rides along for scalar metrics, and
-//! [`Telemetry::chrome_trace_json`] exports everything as Chrome
-//! trace-event JSON that Perfetto loads directly.
+//! the [`crate::resource::CapacityLedger`] journal).  Gauge samples (queue
+//! depth, lane `in_use`) ride along as step-wise time series, and
+//! [`Telemetry::chrome_trace_json`] exports spans and gauges as Chrome
+//! trace-event JSON that Perfetto loads directly.  Run-total counts and
+//! latency distributions are not kept here: the serving layer records them
+//! once, in its fleet statistics and windowed metrics.
 //!
 //! The hard invariant is that telemetry is *observe-only*: every recording
 //! method appends to a side buffer and returns — it never draws randomness,
@@ -203,9 +205,9 @@ impl TelemetrySpan {
     }
 }
 
-/// The telemetry subsystem: an append-only span store plus a counter /
-/// gauge / histogram registry, all keyed by interned labels.  Disabled
-/// instances ignore every recording call.
+/// The telemetry subsystem: an append-only span store plus gauge time
+/// series for the Perfetto counter tracks, all keyed by interned labels.
+/// Disabled instances ignore every recording call.
 #[derive(Debug, Clone, Default)]
 pub struct Telemetry {
     enabled: bool,
@@ -213,16 +215,8 @@ pub struct Telemetry {
     spans: Vec<TelemetrySpan>,
     /// Human-readable track names for the exporter's thread metadata.
     track_names: BTreeMap<Track, LabelId>,
-    counters: BTreeMap<LabelId, u64>,
     /// Time series of gauge samples, exported as Chrome counter events.
     gauges: BTreeMap<LabelId, Vec<(SimTime, f64)>>,
-    /// Downsampling stride for gauge series: keep every `stride`-th sample
-    /// (0 and 1 both mean "keep everything", the historical behavior).
-    gauge_stride: usize,
-    /// Per-series sample counters driving the stride (counts *offered*
-    /// samples, kept or not, so the stride phase is stable per series).
-    gauge_seen: BTreeMap<LabelId, u64>,
-    histograms: BTreeMap<LabelId, Vec<f64>>,
 }
 
 impl Telemetry {
@@ -281,52 +275,14 @@ impl Telemetry {
         });
     }
 
-    /// Adds `delta` to the named counter.
-    pub fn count(&mut self, name: &str, delta: u64) {
-        if !self.enabled {
-            return;
-        }
-        let id = self.interner.intern(name);
-        *self.counters.entry(id).or_insert(0) += delta;
-    }
-
-    /// Sets the gauge downsampling stride: every series keeps its 1st,
-    /// `(stride+1)`-th, `(2·stride+1)`-th … offered sample and drops the
-    /// rest.  The default stride of 1 keeps every sample — bit-for-bit the
-    /// historical behavior — while a fleet-scale run can cap the per-step
-    /// series growth that unbounded gauge `Vec`s otherwise suffer.
-    pub fn set_gauge_stride(&mut self, stride: usize) {
-        self.gauge_stride = stride.max(1);
-    }
-
-    /// The current gauge downsampling stride (1 = keep everything).
-    pub fn gauge_stride(&self) -> usize {
-        self.gauge_stride.max(1)
-    }
-
     /// Appends a gauge sample (a step-wise time series; exported as a
-    /// Chrome counter track), subject to the downsampling stride
-    /// ([`Telemetry::set_gauge_stride`]).
+    /// Chrome counter track).
     pub fn gauge(&mut self, name: &str, at: SimTime, value: f64) {
         if !self.enabled {
             return;
         }
         let id = self.interner.intern(name);
-        let seen = self.gauge_seen.entry(id).or_insert(0);
-        let keep = self.gauge_stride <= 1 || (*seen).is_multiple_of(self.gauge_stride as u64);
-        *seen += 1;
-        if keep {
-            self.gauges.entry(id).or_default().push((at, value));
-        }
-    }
-
-    /// Records one observation into the named histogram.
-    pub fn observe(&mut self, name: &str, value: f64) {
-        if !self.enabled {
-            return;
-        }
-        let id = self.interner.intern(name);
-        self.histograms.entry(id).or_default().push(value);
+        self.gauges.entry(id).or_default().push((at, value));
     }
 
     /// All recorded spans in insertion order.
@@ -348,47 +304,6 @@ impl Telemetry {
             .filter(|s| s.phase.counts_toward_ttft())
             .map(TelemetrySpan::duration)
             .sum()
-    }
-
-    /// Current value of the named counter (zero if never touched).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.interner
-            .ids
-            .get(name)
-            .and_then(|&id| self.counters.get(&LabelId(id)))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// The named gauge's kept samples (empty if never touched).
-    pub fn gauge_series(&self, name: &str) -> &[(SimTime, f64)] {
-        self.interner
-            .ids
-            .get(name)
-            .and_then(|&id| self.gauges.get(&LabelId(id)))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// The named histogram's observations (empty if never touched).
-    pub fn histogram(&self, name: &str) -> &[f64] {
-        self.interner
-            .ids
-            .get(name)
-            .and_then(|&id| self.histograms.get(&LabelId(id)))
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// `(count, mean, max)` of the named histogram, or `None` if empty.
-    pub fn histogram_stats(&self, name: &str) -> Option<(usize, f64, f64)> {
-        let h = self.histogram(name);
-        if h.is_empty() {
-            return None;
-        }
-        let sum: f64 = h.iter().sum();
-        let max = h.iter().cloned().fold(f64::MIN, f64::max);
-        Some((h.len(), sum / h.len() as f64, max))
     }
 
     /// Exports the span store and gauge series as Chrome trace-event JSON
@@ -509,13 +424,16 @@ mod tests {
     fn disabled_telemetry_records_nothing() {
         let mut t9 = Telemetry::off();
         t9.span(Track::Request(0), Phase::Queued, "queued", t(0), t(5));
-        t9.count("admitted", 1);
         t9.gauge("queue_depth", t(0), 3.0);
-        t9.observe("step_ms", 1.5);
         t9.name_track(Track::Request(0), "req 0");
         assert!(t9.spans().is_empty());
-        assert_eq!(t9.counter("admitted"), 0);
-        assert!(t9.histogram("step_ms").is_empty());
+        let json = t9.chrome_trace_json();
+        assert_eq!(
+            json.matches("\"ph\":\"M\"").count(),
+            2,
+            "only the two process names: no track name, span or gauge"
+        );
+        assert!(!json.contains("\"ph\":\"C\""));
     }
 
     #[test]
@@ -531,43 +449,6 @@ mod tests {
             SimDuration::from_millis(30),
             "decode and lane spans stay out of the TTFT sum"
         );
-    }
-
-    #[test]
-    fn counters_gauges_histograms_accumulate() {
-        let mut tel = Telemetry::new(true);
-        tel.count("seals", 2);
-        tel.count("seals", 3);
-        assert_eq!(tel.counter("seals"), 5);
-        tel.observe("step_ms", 1.0);
-        tel.observe("step_ms", 3.0);
-        let (n, mean, max) = tel.histogram_stats("step_ms").unwrap();
-        assert_eq!(n, 2);
-        assert!((mean - 2.0).abs() < 1e-12);
-        assert!((max - 3.0).abs() < 1e-12);
-        tel.gauge("queue_depth", t(1), 4.0);
-        assert_eq!(tel.counter("missing"), 0);
-    }
-
-    #[test]
-    fn gauge_stride_downsamples_per_series() {
-        let mut tel = Telemetry::new(true);
-        assert_eq!(tel.gauge_stride(), 1, "default stride keeps everything");
-        for i in 0..6 {
-            tel.gauge("depth", t(i), i as f64);
-        }
-        assert_eq!(tel.gauge_series("depth").len(), 6);
-
-        let mut strided = Telemetry::new(true);
-        strided.set_gauge_stride(3);
-        for i in 0..7 {
-            strided.gauge("depth", t(i), i as f64);
-            strided.gauge("occupancy", t(i), 2.0 * i as f64);
-        }
-        // Samples 0, 3 and 6 survive — the stride phase is per series.
-        let kept: Vec<f64> = strided.gauge_series("depth").iter().map(|s| s.1).collect();
-        assert_eq!(kept, vec![0.0, 3.0, 6.0]);
-        assert_eq!(strided.gauge_series("occupancy").len(), 3);
     }
 
     #[test]

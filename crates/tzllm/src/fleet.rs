@@ -81,13 +81,18 @@ impl FleetConfig {
     }
 }
 
-/// The mergeable statistics of one device shard: every deterministic counter
-/// the serving layer's [`FleetStats`](crate::serving::FleetStats) carries
-/// (KV, batching, speculation — PRs 3–7), plus the raw sorted latency
+/// The mergeable statistics of one device shard: the run totals of the
+/// serving layer's [`FleetStats`](crate::serving::FleetStats) that add
+/// across shards (completions, rejections, cold starts, restore-ahead and
+/// plan-cache counts, batching, speculation and KV byte/token totals), the
+/// horizon and the starvation-guard maximum, plus the raw sorted latency
 /// samples exact percentile merging needs.  Derived ratios and means are
 /// deliberately absent: they are recomputed from these exact quantities at
 /// fleet level, because merged ratios of ratios are neither associative nor
-/// meaningful.
+/// meaningful.  Also absent: the peaks `kv_peak_sealed_pages`,
+/// `kv_peak_sealed_bytes` and `max_queue_depth`, and the per-bucket
+/// distributions (`batch_occupancy`, `spec_emitted_per_step`,
+/// `kv_hit_depth`, `kv_chain`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ShardStats {
     /// Shard index within the fleet.

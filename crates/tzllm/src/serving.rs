@@ -127,8 +127,8 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use llm::{derive_seed, ComputationGraph, ModelSpec, PromptContent};
 use sim_core::telemetry::{LabelId, Phase, Telemetry, Track};
 use sim_core::{
-    CapacityLedger, DetRng, Engine, EventScheduler, LaneEvent, LaneId, LaneUsage,
-    PercentileSummary, SimDuration, SimTime, WindowedMetrics,
+    CapacityLedger, DetRng, Engine, EventScheduler, LaneId, LaneUsage, PercentileSummary,
+    SimDuration, SimTime, WindowedMetrics,
 };
 use tz_hal::PlatformProfile;
 use workloads::{SessionScript, WorkloadSpec};
@@ -138,6 +138,7 @@ use crate::kv::{ChainStoreStats, KvConfig, KvPool};
 use crate::pipeline::Policy;
 use crate::restore::RestoreRates;
 use crate::system::{self, InferenceReport, PlanCache, PlanLookup, ServiceParams};
+use crate::telemetry::lifecycle_segments;
 
 /// Restore-ahead progress is credited to the cache in whole multiples of
 /// this quantum, which keeps the plan cache's `cached_bytes` key space small
@@ -258,9 +259,9 @@ pub struct ServingConfig {
     /// default; when off, batched runs reproduce the plain step loop bit
     /// for bit.
     pub speculation: SpeculationConfig,
-    /// Step-level telemetry: per-request lifecycle spans, per-lane
-    /// occupancy spans, and the counter/gauge/histogram registry, exported
-    /// on [`ServingReport::telemetry`].  Off by default; telemetry is
+    /// Step-level telemetry: per-request lifecycle spans, per-lane step and
+    /// occupancy spans, and queue-depth / lane `in_use` gauges, exported on
+    /// [`ServingReport::telemetry`].  Off by default; telemetry is
     /// observe-only — enabling it changes no event time, RNG draw, or stat
     /// (the serial-reproduction suite proves this bit for bit).
     pub telemetry: bool,
@@ -625,9 +626,9 @@ pub struct ServingReport {
     /// capacity.
     pub resources: Vec<LaneUsage>,
     /// The telemetry side buffer (`Some` iff [`ServingConfig::telemetry`]):
-    /// request-lifecycle and lane spans, counters, gauges, histograms —
-    /// export with [`Telemetry::chrome_trace_json`] or the report helpers
-    /// in [`crate::telemetry`].
+    /// request-lifecycle and lane spans plus the queue-depth and lane
+    /// `in_use` gauges — export with [`Telemetry::chrome_trace_json`] or
+    /// the report helpers in [`crate::telemetry`].
     pub telemetry: Option<Telemetry>,
     /// The windowed metrics registry (`Some` iff [`ServingConfig::metrics`]):
     /// per-class TTFT/TBT latency sketches, queue-depth and batch-occupancy
@@ -1018,13 +1019,11 @@ fn on_arrival(
             .metrics
             .add("requests_rejected", request.style_label, sched.now(), 1);
         state.rejected.push(rejected);
-        state.telemetry.count("requests.rejected", 1);
         schedule_session_continuation(state, sched, session);
     } else {
         let style = request.style_label;
         state.queue.push_back((request, sched.now()));
         state.note_depth(sched.now());
-        state.telemetry.count("requests.admitted", 1);
         let depth = state.queue.len() as f64;
         state.telemetry.gauge("queue_depth", sched.now(), depth);
         state
@@ -1527,16 +1526,12 @@ fn complete_request(
     schedule_session_continuation(state, sched, session);
 }
 
-/// Records a completed request's lifecycle spans onto its telemetry track.
-///
-/// The TTFT phases tile `[arrival, first_token]` exactly: `Queued` covers
-/// the admission wait, the breakdown components (`framework_init`,
-/// `working_alloc`, `kv_restore`) are laid end to end and clipped to the
-/// pre-NPU window, `RestorePipeline` absorbs the pipelined-overlap
-/// residue, and `Prefill` runs from the pre-NPU boundary to the first
-/// token — so the span sum reconciles with [`RequestRecord::ttft_e2e`] by
-/// construction.  `Decode` follows but is excluded from the TTFT sum.
-/// Only called while telemetry is enabled; purely observational.
+/// Records a completed request's lifecycle spans onto its telemetry track:
+/// the [`lifecycle_segments`] tiling laid end to end from the arrival (so
+/// the span sum reconciles with [`RequestRecord::ttft_e2e`] by
+/// construction), then `Decode`, which the TTFT sum excludes.  Sealing the
+/// completion triggered lands on the CPU lane.  Only called while telemetry
+/// is enabled; purely observational.
 fn record_lifecycle_spans(
     state: &mut ServerState,
     record: &RequestRecord,
@@ -1550,67 +1545,18 @@ fn record_lifecycle_spans(
         track,
         &format!("req {id} {} ({style})", record.request.model),
     );
-    let report = &record.report;
-    let b = &report.breakdown;
-    // The exclusive NPU hold sits at the tail of the service TTFT; what
-    // precedes it is the pre-NPU window the breakdown components fill.
-    let npu_hold = (report.npu_busy + b.npu_overhead).min(report.ttft);
-    let pre_npu_end =
-        (record.dispatched + report.ttft.saturating_sub(npu_hold)).min(record.first_token);
-    if record.dispatched > record.arrival {
-        state.telemetry.span(
-            track,
-            Phase::Queued,
-            "queued",
-            record.arrival,
-            record.dispatched,
-        );
-    }
-    let mut cursor = record.dispatched;
-    for (phase, d) in [
-        (Phase::FrameworkInit, b.framework_init),
-        (Phase::WorkingAlloc, b.working_alloc),
-        (Phase::KvUnseal, b.kv_restore),
-    ] {
-        let end = (cursor + d).min(pre_npu_end);
-        if end > cursor {
-            state
-                .telemetry
-                .span(track, phase, phase.label(), cursor, end);
-            cursor = end;
-        }
-    }
-    if pre_npu_end > cursor {
-        state.telemetry.span(
-            track,
-            Phase::RestorePipeline,
-            "restore-pipeline",
-            cursor,
-            pre_npu_end,
-        );
-    }
-    if record.first_token > pre_npu_end {
-        state.telemetry.span(
-            track,
-            Phase::Prefill,
-            "prefill",
-            pre_npu_end,
-            record.first_token,
-        );
+    let mut cursor = record.arrival;
+    for (phase, d) in lifecycle_segments(record) {
+        state
+            .telemetry
+            .span(track, phase, phase.label(), cursor, cursor + d);
+        cursor += d;
     }
     if now > record.first_token {
         state
             .telemetry
             .span(track, Phase::Decode, "decode", record.first_token, now);
     }
-    state.telemetry.count("requests.completed", 1);
-    state
-        .telemetry
-        .observe("request.ttft_e2e_ms", record.ttft_e2e().as_secs_f64() * 1e3);
-    state.telemetry.observe(
-        "request.queue_wait_ms",
-        record.queue_wait().as_secs_f64() * 1e3,
-    );
     if let Some(before) = sealed_before {
         let delta = state.kv.stats().spilled_bytes.saturating_sub(before);
         if delta > 0 {
@@ -1622,8 +1568,6 @@ fn record_lifecycle_spans(
                 now,
                 now,
             );
-            state.telemetry.count("kv.seal_events", 1);
-            state.telemetry.count("kv.sealed_bytes", delta);
         }
     }
 }
@@ -1845,8 +1789,6 @@ fn maybe_start_batch_step(state: &mut ServerState, sched: &mut EventScheduler<Se
                     .span(npu, Phase::PrefillChunk, &chunk_label, now, chunk_end);
             }
         }
-        state.telemetry.observe("batch.step_ms", ns as f64 / 1e6);
-        state.telemetry.observe("batch.occupancy", occupancy as f64);
     }
     state
         .metrics
@@ -2163,12 +2105,6 @@ fn record_restore_ahead_span(
         r.started,
         now,
     );
-    let counter = if interrupted {
-        "restore_ahead.interrupted"
-    } else {
-        "restore_ahead.completed"
-    };
-    state.telemetry.count(counter, 1);
 }
 
 fn on_restore_ahead_done(
@@ -2572,29 +2508,22 @@ impl Server {
 /// simulation completes; the journal is itself recorded only while
 /// telemetry is on, so this is purely observational.
 fn derive_occupancy_spans(state: &mut ServerState) {
-    let journal: Vec<LaneEvent> = state.ledger.journal().to_vec();
-    if journal.is_empty() {
-        return;
-    }
+    let (ledger, telemetry) = (&state.ledger, &mut state.telemetry);
     // (segment start, level) per lane; level-0 segments are idle and
     // produce no span.
-    let mut seg: Vec<(SimTime, u64)> = vec![(SimTime::ZERO, 0); state.ledger.lane_count()];
-    for e in &journal {
-        let name = state.ledger.lane_name(e.lane);
+    let mut seg: Vec<(SimTime, u64)> = vec![(SimTime::ZERO, 0); ledger.lane_count()];
+    for e in ledger.journal() {
+        let name = ledger.lane_name(e.lane);
         let (start, level) = seg[e.lane.index()];
         if level != e.in_use {
             if level > 0 && e.at > start {
-                let lid = state.telemetry.intern(name);
+                let lid = telemetry.intern(name);
                 let label = format!("{name}={level}");
-                state
-                    .telemetry
-                    .span(Track::Lane(lid), Phase::Occupancy, &label, start, e.at);
+                telemetry.span(Track::Lane(lid), Phase::Occupancy, &label, start, e.at);
             }
             seg[e.lane.index()] = (e.at, e.in_use);
         }
-        state
-            .telemetry
-            .gauge(&format!("{name} in_use"), e.at, e.in_use as f64);
+        telemetry.gauge(&format!("{name} in_use"), e.at, e.in_use as f64);
     }
 }
 
@@ -2618,9 +2547,9 @@ fn derive_lane_busy_windows(state: &mut ServerState) {
             state.ledger.lane_capacity(lane) as f64,
         );
     }
-    let journal: Vec<LaneEvent> = state.ledger.journal().to_vec();
-    let mut seg: Vec<(SimTime, u64)> = vec![(SimTime::ZERO, 0); state.ledger.lane_count()];
-    for e in &journal {
+    let (ledger, metrics) = (&state.ledger, &mut state.metrics);
+    let mut seg: Vec<(SimTime, u64)> = vec![(SimTime::ZERO, 0); ledger.lane_count()];
+    for e in ledger.journal() {
         let (start, level) = seg[e.lane.index()];
         if level > 0 && e.at > start {
             if let Some(&(_, class)) = lanes.iter().find(|(id, _)| *id == e.lane) {
@@ -2631,7 +2560,7 @@ fn derive_lane_busy_windows(state: &mut ServerState) {
                 while t < end_ns {
                     let next_boundary = (t / window_ns + 1) * window_ns;
                     let piece_end = next_boundary.min(end_ns);
-                    state.metrics.add(
+                    metrics.add(
                         "lane_inuse_ns",
                         class,
                         SimTime::from_nanos(t),

@@ -1,13 +1,16 @@
 //! Serving-telemetry reports: TTFT waterfalls and critical-path
 //! attribution.
 //!
-//! `sim_core::telemetry` owns the raw span store and the Perfetto export;
-//! this module turns a finished [`ServingReport`] into the two textual
-//! analyses the serving benchmarks print:
+//! `sim_core::telemetry` owns the raw span store and the Perfetto export.
+//! This module owns the one TTFT tiling, [`lifecycle_segments`]: the
+//! serving layer lays a completed request's track spans end to end from
+//! it, and the reports below read it too.  It turns a finished
+//! [`ServingReport`] into the two textual analyses the serving benchmarks
+//! print:
 //!
 //! * [`ttft_waterfall`] — one line per request tiling its end-to-end TTFT
 //!   into queue / init / alloc / kv-unseal / pipeline / prefill segments
-//!   (the same tiling the request's telemetry track records, so the
+//!   (the segments the request's telemetry track was built from, so the
 //!   segment sum reconciles with the recorded TTFT exactly);
 //! * [`critical_path_report`] — for every *cold* request (one that
 //!   restored parameters from flash), names the device lane that bounded
@@ -18,46 +21,42 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use sim_core::SimDuration;
+use sim_core::{Phase, SimDuration};
 
 use crate::serving::{RequestRecord, ServingReport};
 
-/// One request's TTFT tiled into named segments.
+/// One request's TTFT tiled into its lifecycle phases.
 ///
-/// The segments are exactly the request-track telemetry phases: laid end
-/// to end they cover `[arrival, first_token]` without gap or overlap, so
-/// their sum equals [`RequestRecord::ttft_e2e`] by construction.
-pub fn lifecycle_segments(record: &RequestRecord) -> Vec<(&'static str, SimDuration)> {
+/// These are the request track's TTFT spans: laid end to end from the
+/// arrival they cover `[arrival, first_token]` without gap or overlap, so
+/// their sum equals [`RequestRecord::ttft_e2e`] by construction.  `Queued`
+/// covers the admission wait.  The breakdown components (`framework_init`,
+/// `working_alloc`, `kv_restore`) follow in that order, clipped to the
+/// pre-NPU window; `RestorePipeline` absorbs the pipelined-overlap residue
+/// of that window, and `Prefill` runs from its end to the first token.
+/// Zero-length segments are left out.
+pub fn lifecycle_segments(record: &RequestRecord) -> Vec<(Phase, SimDuration)> {
     let report = &record.report;
     let b = &report.breakdown;
-    let mut out = Vec::with_capacity(6);
-    out.push(("queued", record.queue_wait()));
-    // The exclusive NPU hold sits at the tail of the service TTFT; the
-    // breakdown components fill the pre-NPU window and are clipped to it,
-    // with the pipelined-restoration residue absorbing what remains.
+    // The exclusive NPU hold sits at the tail of the service TTFT; what
+    // precedes it is the pre-NPU window the breakdown components fill.
     let npu_hold = (report.npu_busy + b.npu_overhead).min(report.ttft);
     let service = record.service_ttft();
     let pre_npu = report.ttft.saturating_sub(npu_hold).min(service);
+    let mut out = vec![(Phase::Queued, record.queue_wait())];
     let mut used = SimDuration::ZERO;
-    for (name, d) in [
-        ("framework-init", b.framework_init),
-        ("working-alloc", b.working_alloc),
-        ("kv-unseal", b.kv_restore),
+    for (phase, d) in [
+        (Phase::FrameworkInit, b.framework_init),
+        (Phase::WorkingAlloc, b.working_alloc),
+        (Phase::KvUnseal, b.kv_restore),
     ] {
         let take = d.min(pre_npu.saturating_sub(used));
-        if take > SimDuration::ZERO {
-            out.push((name, take));
-            used += take;
-        }
+        out.push((phase, take));
+        used += take;
     }
-    let residue = pre_npu.saturating_sub(used);
-    if residue > SimDuration::ZERO {
-        out.push(("restore-pipeline", residue));
-    }
-    let prefill = service.saturating_sub(pre_npu);
-    if prefill > SimDuration::ZERO {
-        out.push(("prefill", prefill));
-    }
+    out.push((Phase::RestorePipeline, pre_npu.saturating_sub(used)));
+    out.push((Phase::Prefill, service.saturating_sub(pre_npu)));
+    out.retain(|&(_, d)| d > SimDuration::ZERO);
     out
 }
 
@@ -85,9 +84,9 @@ pub fn ttft_waterfall(report: &ServingReport) -> String {
     records.sort_by_key(|r| (r.arrival, r.request.id));
     for r in records {
         let segs = lifecycle_segments(r);
-        let get = |name: &str| {
+        let get = |phase: Phase| {
             segs.iter()
-                .find(|(n, _)| *n == name)
+                .find(|&&(p, _)| p == phase)
                 .map(|&(_, d)| d.as_millis_f64())
                 .unwrap_or(0.0)
         };
@@ -97,12 +96,12 @@ pub fn ttft_waterfall(report: &ServingReport) -> String {
             "{:>6} {:<14} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>10.3} {:>10.3}",
             r.request.id,
             r.request.model,
-            get("queued"),
-            get("framework-init"),
-            get("working-alloc"),
-            get("kv-unseal"),
-            get("restore-pipeline"),
-            get("prefill"),
+            get(Phase::Queued),
+            get(Phase::FrameworkInit),
+            get(Phase::WorkingAlloc),
+            get(Phase::KvUnseal),
+            get(Phase::RestorePipeline),
+            get(Phase::Prefill),
             sum,
             r.ttft_e2e().as_millis_f64(),
         );
@@ -278,6 +277,28 @@ mod tests {
         let text = ttft_waterfall(&report);
         assert!(text.contains("qwen2.5-3b"));
         assert_eq!(text.lines().count(), report.records.len() + 1);
+    }
+
+    /// A first token that lands inside the breakdown components clips
+    /// them: the tiling stops at the first token, and the pipeline residue
+    /// and prefill segments vanish.  No simulated run reaches this guard,
+    /// so the record is edited by hand.
+    #[test]
+    fn segments_clip_to_a_short_service_window() {
+        let report = report();
+        let mut r = report.records[0].clone();
+        let b = r.report.breakdown;
+        let half_alloc = SimDuration::from_nanos(b.working_alloc.as_nanos() / 2);
+        assert!(b.framework_init > SimDuration::ZERO && half_alloc > SimDuration::ZERO);
+        r.first_token = r.dispatched + b.framework_init + half_alloc;
+        let mut expected = vec![
+            (Phase::FrameworkInit, b.framework_init),
+            (Phase::WorkingAlloc, half_alloc),
+        ];
+        if r.queue_wait() > SimDuration::ZERO {
+            expected.insert(0, (Phase::Queued, r.queue_wait()));
+        }
+        assert_eq!(lifecycle_segments(&r), expected);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //!
 //! Run with: `cargo run --release --example serving_trace [-- <out.json>]`
 
+use sim_core::{PercentileSummary, Phase};
 use tz_hal::PlatformProfile;
 use tzllm::serving::{Server, ServingConfig};
 use workloads::{ArrivalProcess, WorkloadSpec};
@@ -44,14 +45,19 @@ fn main() {
     println!("{}", cp.render_text());
 
     let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
+    let step_ms: Vec<f64> = telemetry
+        .spans()
+        .iter()
+        .filter(|s| s.phase == Phase::BatchStep)
+        .map(|s| s.duration().as_millis_f64())
+        .collect();
+    let steps = PercentileSummary::from_values(&step_ms)
+        .map(|s| format!("n={} mean={:.2} max={:.2}", s.count, s.mean, s.max))
+        .unwrap_or_else(|| "(not observed)".into());
     println!(
-        "recorded {} spans across {} requests; batch.step_ms {}",
+        "recorded {} spans across {} requests; batch-step ms {steps}",
         telemetry.spans().len(),
         report.records.len(),
-        telemetry
-            .histogram_stats("batch.step_ms")
-            .map(|(n, mean, max)| format!("n={n} mean={mean:.2} max={max:.2}"))
-            .unwrap_or_else(|| "(not observed)".into()),
     );
 
     let json = telemetry.chrome_trace_json();

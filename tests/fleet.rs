@@ -226,3 +226,20 @@ fn metrics_on_fleet_is_thread_invariant_and_digest_covered() {
         "the canonical digest must cover the windowed metric series"
     );
 }
+
+/// A zero-shard fleet is refused when `run_fleet` partitions the workload,
+/// before any shard runs.
+#[test]
+#[should_panic(expected = "a fleet needs at least one shard")]
+fn zero_shard_fleet_is_refused_before_any_shard_runs() {
+    let workload = WorkloadSpec::standard_multi(
+        ArrivalProcess::Poisson { rate_per_sec: 0.1 },
+        8,
+        &["tinyllama-1.1b"],
+    );
+    let config = FleetConfig {
+        shards: 0,
+        ..FleetConfig::homogeneous(1, 1)
+    };
+    let _ = run_fleet(&workload, &catalogue(), 1, &config, paper_config);
+}

@@ -145,12 +145,19 @@ fn interrupted_restore_ahead_truncates_ledger_busy_time() {
     config.telemetry = true;
     let report = Server::run_workload(config, catalogue(), &workload, 11);
     let telemetry = report.telemetry.as_ref().expect("telemetry was enabled");
+    // Each restore-ahead leaves one span on its lane track, labelled
+    // `(interrupted)` iff a dispatch cancelled it mid-flight.
+    let (interrupted, completed): (Vec<_>, Vec<_>) = telemetry
+        .spans()
+        .iter()
+        .filter(|s| s.phase == Phase::RestoreAhead)
+        .partition(|s| telemetry.resolve(s.label).contains("(interrupted)"));
     assert!(
-        telemetry.counter("restore_ahead.interrupted") > 0,
+        !interrupted.is_empty(),
         "the trace must cancel at least one in-flight restore"
     );
     assert!(
-        telemetry.counter("restore_ahead.completed") > 0,
+        !completed.is_empty(),
         "and still let some restores run to completion"
     );
 
@@ -179,21 +186,6 @@ fn interrupted_restore_ahead_truncates_ledger_busy_time() {
             lane.name
         );
     }
-
-    // The cancelled restores are visible as such on the lane tracks, each
-    // closed at its interruption instant (end == the moment the lanes were
-    // handed to the dispatch, which the occupancy cross-check above pins).
-    let interrupted = telemetry
-        .spans()
-        .iter()
-        .filter(|s| {
-            s.phase == Phase::RestoreAhead && telemetry.resolve(s.label).contains("(interrupted)")
-        })
-        .count();
-    assert_eq!(
-        interrupted as u64,
-        telemetry.counter("restore_ahead.interrupted")
-    );
 }
 
 /// The acceptance comparison: at a fixed sub-saturation arrival rate on

@@ -3,7 +3,7 @@
 
 use sim_core::SimDuration;
 use tz_hal::PlatformProfile;
-use tzllm::serving::{RetentionPolicy, Server, ServingConfig};
+use tzllm::serving::{RetentionPolicy, Server, ServingConfig, SpeculationConfig};
 use workloads::{ArrivalProcess, WorkloadSpec};
 
 fn config() -> ServingConfig {
@@ -130,4 +130,38 @@ fn warm_p50_beats_cold_start() {
         assert!(w.report.ttft <= c.report.ttft);
     }
     assert!(warm.records[2].report.ttft < cold.records[2].report.ttft);
+}
+
+// Config refusals.  Each of these configurations is refused with a panic
+// before the simulation starts, at the call that first reads the bad field.
+
+#[test]
+#[should_panic(expected = "window width must be positive")]
+fn zero_metrics_window_is_refused_at_server_new() {
+    let mut config = config();
+    config.metrics = Some(SimDuration::ZERO);
+    let _ = Server::new(config, catalogue());
+}
+
+#[test]
+#[should_panic(expected = "unknown speculation draft model \"no-such-draft\"")]
+fn unknown_draft_model_is_refused_at_server_new() {
+    let mut config = config();
+    config.speculation = SpeculationConfig::paper_default();
+    config.speculation.draft_model = "no-such-draft".into();
+    let _ = Server::new(config, catalogue());
+}
+
+#[test]
+#[should_panic(expected = "unknown model \"qwen2.5-3b\" in session")]
+fn script_naming_a_model_outside_the_catalogue_is_refused_at_submit() {
+    let workload = WorkloadSpec::standard(
+        ArrivalProcess::Poisson { rate_per_sec: 0.1 },
+        4,
+        "qwen2.5-3b",
+    );
+    let mut server = Server::new(config(), vec![llm::ModelSpec::tinyllama_1_1b()]);
+    for script in workload.generate(1) {
+        server.submit_script(script);
+    }
 }
