@@ -1091,6 +1091,7 @@ fn scenario_fleet_scale(opts: &HarnessOptions) -> String {
     let _ = writeln!(json, "    \"wallclock_s_threads1\": {wall_1:.3},");
     let _ = writeln!(json, "    \"wallclock_s_threads2\": {wall_2:.3},");
     let _ = writeln!(json, "    \"wallclock_s_threads8\": {wall_8:.3},");
+    let _ = writeln!(json, "    \"host_cores\": {cores},");
     let _ = writeln!(json, "    \"speedup_8t\": {speedup_8:.3},");
     let _ = writeln!(json, "    \"sim_req_per_min_8t\": {sim_per_min_8:.0},");
     let _ = writeln!(json, "    \"completed\": {},", stats_1.completed());

@@ -11,9 +11,9 @@
 //! * [`bandwidth`] — constant-throughput device helpers ([`Bandwidth`]).
 //! * [`resource`] — server pools for CPU cores / NPU / I/O engine.
 //! * [`engine`] — a generic discrete-event engine for concurrency experiments.
-//! * [`trace`] — span recording for figure generation and ordering assertions.
-//! * [`telemetry`] — zero-cost-when-off serving telemetry: interned labels,
-//!   request/lane span tracks, a metrics registry, Perfetto trace export.
+//! * [`telemetry`] — the one span store, zero-cost when off: interned
+//!   labels, request and lane span tracks (serving lifecycles, batched
+//!   steps, pipeline operator schedules), gauges and Perfetto trace export.
 //! * [`metrics`] — windowed metrics: per-window counters/gauges and
 //!   mergeable log-bucketed latency histograms (≤1% quantile error).
 //! * [`stats`] — means, geometric means, percentiles, overhead computations.
@@ -27,7 +27,6 @@ pub mod rng;
 pub mod stats;
 pub mod telemetry;
 pub mod time;
-pub mod trace;
 
 pub use bandwidth::{Bandwidth, GIB, KIB, MIB};
 pub use engine::{Engine, EventScheduler};
@@ -37,4 +36,3 @@ pub use rng::{shard_seed, DetRng};
 pub use stats::PercentileSummary;
 pub use telemetry::{Interner, LabelId, Phase, Telemetry, TelemetrySpan, Track};
 pub use time::{SimDuration, SimTime};
-pub use trace::{Span, SpanKind, Trace};

@@ -1,12 +1,14 @@
-//! Zero-cost-when-off serving telemetry.
+//! Zero-cost-when-off telemetry: the workspace's one span store.
 //!
-//! The serving layer's step loop explains *where each request's latency
-//! went* by recording phase spans into a [`Telemetry`] side buffer: one
+//! Simulators explain *where the time went* by recording phase spans into
+//! a [`Telemetry`] side buffer.  The serving layer's step loop records one
 //! track per request (its lifecycle tiles `[arrival, first_token]` exactly,
 //! so the span sum reconciles with the recorded TTFT), plus one track per
 //! device lane (step/chunk/draft spans, occupancy intervals derived from
-//! the [`crate::resource::CapacityLedger`] journal).  Gauge samples (queue
-//! depth, lane `in_use`) ride along as step-wise time series, and
+//! the [`crate::resource::CapacityLedger`] journal).  The restoration
+//! pipeline scheduler records its per-operator schedule the same way, on
+//! one lane track per resource it schedules.  Gauge samples (queue depth,
+//! lane `in_use`) ride along as step-wise time series, and
 //! [`Telemetry::chrome_trace_json`] exports spans and gauges as Chrome
 //! trace-event JSON that Perfetto loads directly.  Run-total counts and
 //! latency distributions are not kept here: the serving layer records them
@@ -20,10 +22,9 @@
 //! time or statistic (the serial-reproduction suite proves this bit for
 //! bit against the committed baseline).
 //!
-//! Labels are interned [`Arc<str>`]s handed out by [`Interner`] — the same
-//! sharing scheme [`crate::trace::Trace`] uses for its span names, so a
-//! million spans over a handful of distinct labels cost a million
-//! refcount bumps, not a million `String` allocations.
+//! Labels are interned [`Arc<str>`]s handed out by [`Interner`], so a
+//! million spans over a handful of distinct labels cost a million table
+//! lookups, not a million `String` allocations.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -71,14 +72,6 @@ impl Interner {
         LabelId(id)
     }
 
-    /// The shared allocation behind `name`, interning it first if new —
-    /// what [`crate::trace::Trace`] stores per span instead of an owned
-    /// `String`.
-    pub fn share(&mut self, name: &str) -> Arc<str> {
-        let id = self.intern(name);
-        Arc::clone(&self.names[id.index()])
-    }
-
     /// Resolves an id back to its text.
     ///
     /// # Panics
@@ -99,7 +92,7 @@ impl Interner {
 }
 
 /// Which timeline a span belongs to: one per request (lifecycle phases) or
-/// one per device lane (steps, chunks, occupancy).
+/// one per device lane (steps, chunks, occupancy, pipeline operators).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Track {
     /// The request's own lifecycle timeline, keyed by request id.
@@ -108,10 +101,11 @@ pub enum Track {
     Lane(LabelId),
 }
 
-/// The serving-layer phase a span records.  The request-lifecycle phases
+/// The phase a span records.  The request-lifecycle phases
 /// ([`Phase::counts_toward_ttft`]) tile `[arrival, first_token]` without
 /// gaps or overlap, so their sum reconciles exactly with the recorded
-/// end-to-end TTFT; lane-track phases annotate device activity and never
+/// end-to-end TTFT; lane-track phases annotate device activity (serving
+/// steps and occupancy, or the restoration pipeline's operators) and never
 /// enter that sum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Phase {
@@ -144,6 +138,18 @@ pub enum Phase {
     Seal,
     /// A lane-occupancy interval derived from the capacity-ledger journal.
     Occupancy,
+    /// A pipeline operator allocating secure memory (CMA migration) for
+    /// parameters, on a CPU core.
+    ParamAlloc,
+    /// A pipeline operator reading encrypted parameters from flash, on the
+    /// I/O engine.
+    ParamLoad,
+    /// A pipeline operator decrypting parameters (AES-CTR), on a CPU core.
+    ParamDecrypt,
+    /// A pipeline computation operator on a CPU core.
+    CpuCompute,
+    /// A pipeline computation operator on the NPU.
+    NpuCompute,
 }
 
 impl Phase {
@@ -164,6 +170,11 @@ impl Phase {
             Phase::SpecVerify => "spec-verify",
             Phase::Seal => "seal",
             Phase::Occupancy => "occupancy",
+            Phase::ParamAlloc => "alloc",
+            Phase::ParamLoad => "load",
+            Phase::ParamDecrypt => "decrypt",
+            Phase::CpuCompute => "cpu",
+            Phase::NpuCompute => "npu",
         }
     }
 
@@ -408,15 +419,12 @@ mod tests {
     }
 
     #[test]
-    fn interner_dedups_and_shares() {
+    fn interner_dedups() {
         let mut i = Interner::new();
         let a = i.intern("flash");
         let b = i.intern("flash");
         assert_eq!(a, b);
         assert_eq!(i.len(), 1);
-        let s1 = i.share("flash");
-        let s2 = i.share("flash");
-        assert!(Arc::ptr_eq(&s1, &s2), "same text shares one allocation");
         assert_eq!(i.resolve(a), "flash");
     }
 

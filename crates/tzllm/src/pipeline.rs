@@ -17,13 +17,13 @@
 //!   piece at a time and keeps its id, so no per-piece records are built.
 //!
 //! The simulator is event-driven and fully deterministic; it produces the
-//! makespan (the prefill-pipeline part of the TTFT), a span trace, and busy
-//! time per operator class.
+//! makespan (the prefill-pipeline part of the TTFT), busy time per operator
+//! class and, on request, the operator schedule as [`Telemetry`] lane spans.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sim_core::{SimDuration, SimTime, SpanKind, Trace};
+use sim_core::{LabelId, Phase, SimDuration, SimTime, Telemetry, Track};
 
 use crate::restore::{PipeOp, PipeOpKind, RestorePlan};
 
@@ -47,24 +47,12 @@ pub struct PipelineConfig {
     pub preempt_quantum: SimDuration,
     /// Scheduling policy.
     pub policy: Policy,
-    /// Whether to record a per-operator span trace.  Figure generation and
-    /// the ordering tests want the trace; the serving layer simulates plans
-    /// on every dispatch and turns it off — span recording (and label
-    /// rendering) is pure overhead on that path.
+    /// Whether to record the operator schedule into
+    /// [`PipelineResult::trace`].  The ordering tests and Perfetto
+    /// inspection want it; the serving layer simulates plans on every
+    /// dispatch and turns it off, and then the scheduler interns, formats
+    /// and allocates nothing for spans.
     pub record_trace: bool,
-}
-
-impl PipelineConfig {
-    /// The TZ-LLM default on the RK3588 testbed: four big cores, 2 ms
-    /// quantum, trace recording on.
-    pub fn tzllm_default(cpu_cores: usize) -> Self {
-        PipelineConfig {
-            cpu_cores,
-            preempt_quantum: SimDuration::from_millis(2),
-            policy: Policy::PriorityPreemptive,
-            record_trace: true,
-        }
-    }
 }
 
 /// Result of simulating one pipeline execution.
@@ -83,8 +71,12 @@ pub struct PipelineResult {
     pub busy_cpu_compute: SimDuration,
     /// Total NPU computation busy time.
     pub busy_npu_compute: SimDuration,
-    /// Execution trace (one span per operator or micro-operator).
-    pub trace: Trace,
+    /// The operator schedule: one span per operator or micro-operator
+    /// (labelled `<op>#k` for the `k`-th piece) on the `cpu`, `npu` or `io`
+    /// lane track, exportable through [`Telemetry::chrome_trace_json`].
+    /// A disabled, empty [`Telemetry`] unless
+    /// [`PipelineConfig::record_trace`] is set.
+    pub trace: Telemetry,
 }
 
 impl PipelineResult {
@@ -95,7 +87,8 @@ impl PipelineResult {
     }
 }
 
-/// Which single-owner resource class an operator occupies while running.
+/// Which resource class an operator occupies while running; also the index
+/// of its lane track in [`Scheduler::lanes`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum ResourceClass {
     /// One of the CPU cores.
@@ -114,6 +107,8 @@ impl ResourceClass {
             PipeOpKind::Load => ResourceClass::Io,
         }
     }
+
+    const ALL: [ResourceClass; 3] = [ResourceClass::Cpu, ResourceClass::Npu, ResourceClass::Io];
 
     fn label(self) -> &'static str {
         match self {
@@ -160,13 +155,13 @@ fn busy_index(kind: PipeOpKind) -> usize {
     }
 }
 
-fn span_kind(kind: PipeOpKind) -> SpanKind {
+fn phase(kind: PipeOpKind) -> Phase {
     match kind {
-        PipeOpKind::Alloc => SpanKind::Allocation,
-        PipeOpKind::Load => SpanKind::Loading,
-        PipeOpKind::Decrypt => SpanKind::Decryption,
-        PipeOpKind::CpuCompute => SpanKind::CpuCompute,
-        PipeOpKind::NpuCompute => SpanKind::NpuCompute,
+        PipeOpKind::Alloc => Phase::ParamAlloc,
+        PipeOpKind::Load => Phase::ParamLoad,
+        PipeOpKind::Decrypt => Phase::ParamDecrypt,
+        PipeOpKind::CpuCompute => Phase::CpuCompute,
+        PipeOpKind::NpuCompute => Phase::NpuCompute,
     }
 }
 
@@ -235,7 +230,9 @@ struct Scheduler<'a> {
     restoration_left: usize,
     now: SimTime,
     busy: [SimDuration; 5],
-    trace: Trace,
+    trace: Telemetry,
+    /// The lane track of each [`ResourceClass`], when recording a trace.
+    lanes: Option<[LabelId; 3]>,
     /// Reused buffer for rendering span names.
     name: String,
 }
@@ -267,6 +264,14 @@ impl<'a> Scheduler<'a> {
             }
         }
 
+        let mut trace = Telemetry::new(config.record_trace);
+        let lanes = config.record_trace.then(|| {
+            ResourceClass::ALL.map(|class| {
+                let lane = trace.intern(class.label());
+                trace.name_track(Track::Lane(lane), class.label());
+                lane
+            })
+        });
         let mut sched = Scheduler {
             ops,
             config,
@@ -287,7 +292,8 @@ impl<'a> Scheduler<'a> {
             restoration_left: ops.iter().filter(|o| o.kind.is_restoration()).count(),
             now: SimTime::ZERO,
             busy: [SimDuration::ZERO; 5],
-            trace: Trace::new(),
+            trace,
+            lanes,
             name: String::new(),
         };
         for (id, op) in ops.iter().enumerate() {
@@ -309,7 +315,7 @@ impl<'a> Scheduler<'a> {
             self.ops[id as usize].duration - st.piece * (st.pieces - 1)
         };
         let end = self.now + duration;
-        if self.config.record_trace {
+        if let Some(lanes) = self.lanes {
             use std::fmt::Write;
             let label = self.ops[id as usize].label;
             let label = if st.pieces == 1 {
@@ -319,13 +325,9 @@ impl<'a> Scheduler<'a> {
             };
             self.name.clear();
             let _ = write!(self.name, "{label}");
-            self.trace.record(
-                &self.name,
-                span_kind(st.kind),
-                ResourceClass::for_kind(st.kind).label(),
-                self.now,
-                end,
-            );
+            let lane = lanes[ResourceClass::for_kind(st.kind) as usize];
+            self.trace
+                .span(Track::Lane(lane), phase(st.kind), &self.name, self.now, end);
         }
         self.busy[busy_index(st.kind)] += duration;
         self.events.push(Reverse(Completion { at: end, id }));
@@ -555,26 +557,64 @@ mod tests {
         assert!((total(&a) - total(&b)).abs() < 1e-6);
     }
 
+    /// The name of the lane track a pipeline span lives on.
+    fn lane_of<'t>(trace: &'t Telemetry, span: &sim_core::TelemetrySpan) -> &'t str {
+        match span.track {
+            Track::Lane(lane) => trace.resolve(lane),
+            Track::Request(_) => panic!("pipeline spans live on lane tracks"),
+        }
+    }
+
     #[test]
     fn trace_has_no_io_or_npu_conflicts() {
         let plan = plan(&ModelSpec::nano(), 16, 0.0, 0.5);
-        let result = simulate(&plan, &config(Policy::PriorityPreemptive));
+        let trace = simulate(&plan, &config(Policy::PriorityPreemptive)).trace;
         // Single-server resources must never run two spans at once.  (CPU
-        // spans share the "cpu" resource label across 4 cores, so only check
-        // io and npu.)
-        let mut io_npu = sim_core::Trace::new();
-        for s in result.trace.spans() {
-            if &*s.resource != "cpu" {
-                io_npu.record(s.name.clone(), s.kind, s.resource.clone(), s.start, s.end);
+        // spans share the "cpu" lane across 4 cores, so only check io and
+        // npu.)
+        for lane in ["io", "npu"] {
+            let mut spans: Vec<_> = trace
+                .spans()
+                .iter()
+                .filter(|s| lane_of(&trace, s) == lane)
+                .collect();
+            spans.sort_by_key(|s| s.start);
+            for w in spans.windows(2) {
+                let overlap = w[0].start < w[1].end && w[1].start < w[0].end;
+                assert!(!overlap, "{lane}: {:?} overlaps {:?}", w[0], w[1]);
             }
         }
-        assert!(io_npu.find_resource_conflict().is_none());
+    }
+
+    #[test]
+    fn traced_plan_exports_its_three_lanes_to_perfetto() {
+        let plan = plan(&ModelSpec::nano(), 16, 0.0, 0.5);
+        let trace = simulate(&plan, &config(Policy::PriorityPreemptive)).trace;
+        let json = trace.chrome_trace_json();
+        let track_names: Vec<&str> = json
+            .lines()
+            .filter(|l| l.contains("\"thread_name\""))
+            .collect();
+        assert_eq!(track_names.len(), 3, "one named track per lane");
+        for lane in ["cpu", "npu", "io"] {
+            assert!(
+                track_names
+                    .iter()
+                    .any(|l| l.contains(&format!("\"args\":{{\"name\":\"{lane}\"}}"))),
+                "{lane} lane track is named"
+            );
+        }
+        assert_eq!(
+            json.matches("\"ph\":\"X\"").count(),
+            trace.spans().len(),
+            "one complete event per span"
+        );
     }
 
     /// SHA-256 of every policy × quantum × trace outcome over a grid of
     /// plans, recorded from the scheduler that expanded micro-operators
-    /// eagerly.  Any change to a makespan, a busy time or a span (name,
-    /// kind, resource, start or end) changes the digest.
+    /// eagerly.  Any change to a makespan, a busy time or a span (label,
+    /// phase label, lane, start or end) changes the digest.
     const GOLDEN_DIGEST: &str = "4bf7d869a81149c440f7513b2efb218b36fbd833ffa6c6d7ad4a8be17137c677";
 
     #[test]
@@ -621,16 +661,16 @@ mod tests {
                                     r.busy_decrypt.as_nanos(),
                                     r.busy_cpu_compute.as_nanos(),
                                     r.busy_npu_compute.as_nanos(),
-                                    r.trace.len(),
+                                    r.trace.spans().len(),
                                     plan.ops.len(),
                                 );
                                 for s in r.trace.spans() {
                                     let _ = writeln!(
                                         line,
                                         "{}|{}|{}|{}|{}",
-                                        s.name,
-                                        s.kind.label(),
-                                        s.resource,
+                                        r.trace.resolve(s.label),
+                                        s.phase.label(),
+                                        lane_of(&r.trace, s),
                                         s.start.as_nanos(),
                                         s.end.as_nanos()
                                     );

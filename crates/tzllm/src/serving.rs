@@ -1229,7 +1229,7 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
     state.ledger.acquire(lane_cpu, cores_needed, now);
 
     let ttft = report.ttft;
-    let npu_hold = (report.npu_busy + report.breakdown.npu_overhead).min(ttft);
+    let npu_hold = report.npu_hold();
     let first_token = now + ttft;
     let hold_start = first_token - npu_hold;
     let record = RequestRecord {
@@ -1264,8 +1264,7 @@ fn dispatch_next(state: &mut ServerState, sched: &mut EventScheduler<ServerState
         // NPU window) runs exactly as planned on the flash/CPU lanes; the
         // NPU-side prefill work then joins the step loop as chunks instead
         // of taking the NPU exclusively.
-        let pre_npu = ttft.saturating_sub(npu_hold);
-        sched.schedule_at(now + pre_npu, on_service_ready_for_batch);
+        sched.schedule_at(hold_start, on_service_ready_for_batch);
     } else {
         // `hold_start <= first_token`, and both events are inserted in this
         // order, so the engine's tie-breaking fires the hold first.
@@ -1584,9 +1583,7 @@ fn on_service_ready_for_batch(state: &mut ServerState, sched: &mut EventSchedule
     }
     state.ledger.release(lane_cpu, svc.cores_held, now);
 
-    let report = &svc.record.report;
-    let npu_hold = (report.npu_busy + report.breakdown.npu_overhead).min(report.ttft);
-    let npu_secs = npu_hold.as_secs_f64();
+    let npu_secs = svc.record.report.npu_hold().as_secs_f64();
     // The plan's exclusive NPU window, split proportionally over the
     // prompt's new (not KV-reused) tokens: one chunk's worth of tokens costs
     // one chunk's share of the window.

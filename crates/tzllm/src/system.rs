@@ -113,6 +113,20 @@ pub struct InferenceReport {
     pub restored_bytes: u64,
 }
 
+impl InferenceReport {
+    /// The exclusive NPU hold at the tail of the TTFT: the prefill's NPU
+    /// busy time plus its world-switch overhead.  What precedes it is the
+    /// pre-NPU window that framework init, working allocation, KV unseal
+    /// and the rest of the restoration pipeline fill.
+    pub fn npu_hold(&self) -> SimDuration {
+        let hold = self.npu_busy + self.breakdown.npu_overhead;
+        // The NPU is one server inside the pipeline, so the makespan covers
+        // its busy time, and the TTFT covers the makespan and the overhead.
+        debug_assert!(hold <= self.ttft, "the NPU hold exceeds the TTFT");
+        hold
+    }
+}
+
 /// Memoises the expensive middle of the crate-internal `evaluate_service`
 /// step: building the prefill graph, extending it into a [`RestorePlan`]
 /// (hundreds of operators) and simulating the pipeline schedule.

@@ -31,31 +31,29 @@ use crate::serving::{RequestRecord, ServingReport};
 /// arrival they cover `[arrival, first_token]` without gap or overlap, so
 /// their sum equals [`RequestRecord::ttft_e2e`] by construction.  `Queued`
 /// covers the admission wait.  The breakdown components (`framework_init`,
-/// `working_alloc`, `kv_restore`) follow in that order, clipped to the
-/// pre-NPU window; `RestorePipeline` absorbs the pipelined-overlap residue
-/// of that window, and `Prefill` runs from its end to the first token.
-/// Zero-length segments are left out.
+/// `working_alloc`, `kv_restore`) follow in that order inside the pre-NPU
+/// window (the TTFT before [`crate::InferenceReport::npu_hold`]);
+/// `RestorePipeline` absorbs the pipelined-overlap residue of that window,
+/// and `Prefill` runs from its end to the first token.  Zero-length
+/// segments are left out.
 pub fn lifecycle_segments(record: &RequestRecord) -> Vec<(Phase, SimDuration)> {
     let report = &record.report;
     let b = &report.breakdown;
-    // The exclusive NPU hold sits at the tail of the service TTFT; what
-    // precedes it is the pre-NPU window the breakdown components fill.
-    let npu_hold = (report.npu_busy + b.npu_overhead).min(report.ttft);
+    let pre_npu = report.ttft - report.npu_hold();
+    let components = b.framework_init + b.working_alloc + b.kv_restore;
     let service = record.service_ttft();
-    let pre_npu = report.ttft.saturating_sub(npu_hold).min(service);
-    let mut out = vec![(Phase::Queued, record.queue_wait())];
-    let mut used = SimDuration::ZERO;
-    for (phase, d) in [
+    // The window holds the components (it is the TTFT less the NPU's share
+    // of the makespan), and both dispatch paths wait it out before the
+    // first token, so nothing needs clipping.
+    debug_assert!(components <= pre_npu && pre_npu <= service);
+    let mut out = vec![
+        (Phase::Queued, record.queue_wait()),
         (Phase::FrameworkInit, b.framework_init),
         (Phase::WorkingAlloc, b.working_alloc),
         (Phase::KvUnseal, b.kv_restore),
-    ] {
-        let take = d.min(pre_npu.saturating_sub(used));
-        out.push((phase, take));
-        used += take;
-    }
-    out.push((Phase::RestorePipeline, pre_npu.saturating_sub(used)));
-    out.push((Phase::Prefill, service.saturating_sub(pre_npu)));
+        (Phase::RestorePipeline, pre_npu - components),
+        (Phase::Prefill, service - pre_npu),
+    ];
     out.retain(|&(_, d)| d > SimDuration::ZERO);
     out
 }
@@ -277,28 +275,6 @@ mod tests {
         let text = ttft_waterfall(&report);
         assert!(text.contains("qwen2.5-3b"));
         assert_eq!(text.lines().count(), report.records.len() + 1);
-    }
-
-    /// A first token that lands inside the breakdown components clips
-    /// them: the tiling stops at the first token, and the pipeline residue
-    /// and prefill segments vanish.  No simulated run reaches this guard,
-    /// so the record is edited by hand.
-    #[test]
-    fn segments_clip_to_a_short_service_window() {
-        let report = report();
-        let mut r = report.records[0].clone();
-        let b = r.report.breakdown;
-        let half_alloc = SimDuration::from_nanos(b.working_alloc.as_nanos() / 2);
-        assert!(b.framework_init > SimDuration::ZERO && half_alloc > SimDuration::ZERO);
-        r.first_token = r.dispatched + b.framework_init + half_alloc;
-        let mut expected = vec![
-            (Phase::FrameworkInit, b.framework_init),
-            (Phase::WorkingAlloc, half_alloc),
-        ];
-        if r.queue_wait() > SimDuration::ZERO {
-            expected.insert(0, (Phase::Queued, r.queue_wait()));
-        }
-        assert_eq!(lifecycle_segments(&r), expected);
     }
 
     #[test]

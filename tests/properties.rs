@@ -8,7 +8,7 @@
 //! shrinking — a failing case prints its inputs instead).
 
 use llm::{ComputationGraph, CostModel, ModelSpec};
-use sim_core::{DetRng, SimDuration};
+use sim_core::{DetRng, SimDuration, TelemetrySpan, Track};
 use tz_crypto::AesCtr;
 use tz_hal::{PhysAddr, PhysRange, PlatformProfile, Tzasc, World, PAGE_SIZE};
 use tzllm::{
@@ -131,10 +131,12 @@ fn preemptive_micro_operator_chains_tile_each_operator() {
         let ctx = format!("case {case} ({layers}l/{hidden}h/{prompt}p/{quantum}q/{cpu_cores}c)");
 
         // Spans grouped by their operator's label, in trace (start) order.
-        let mut by_op: std::collections::HashMap<&str, Vec<&sim_core::Span>> =
+        let trace = &result.trace;
+        let mut by_op: std::collections::HashMap<&str, Vec<&TelemetrySpan>> =
             std::collections::HashMap::new();
-        for s in result.trace.spans() {
-            let op = s.name.rsplit_once('#').map_or(&*s.name, |(op, _)| op);
+        for s in trace.spans() {
+            let name = trace.resolve(s.label);
+            let op = name.rsplit_once('#').map_or(name, |(op, _)| op);
             by_op.entry(op).or_default().push(s);
         }
         assert_eq!(by_op.len(), plan.ops.len(), "{ctx}: one span chain per op");
@@ -148,11 +150,11 @@ fn preemptive_micro_operator_chains_tile_each_operator() {
             };
             assert_eq!(spans.len(), pieces, "{ctx}: {label} piece count");
             if pieces == 1 {
-                assert_eq!(&*spans[0].name, label, "{ctx}");
+                assert_eq!(trace.resolve(spans[0].label), label, "{ctx}");
             } else {
                 split_ops += 1;
                 for (i, s) in spans.iter().enumerate() {
-                    assert_eq!(*s.name, format!("{label}#{i}"), "{ctx}");
+                    assert_eq!(trace.resolve(s.label), format!("{label}#{i}"), "{ctx}");
                 }
             }
             for pair in spans.windows(2) {
@@ -163,11 +165,10 @@ fn preemptive_micro_operator_chains_tile_each_operator() {
         }
 
         // CPU capacity: sweep span starts and ends, ends first at ties.
-        let mut edges: Vec<(sim_core::SimTime, i32)> = result
-            .trace
+        let mut edges: Vec<(sim_core::SimTime, i32)> = trace
             .spans()
             .iter()
-            .filter(|s| &*s.resource == "cpu")
+            .filter(|s| matches!(s.track, Track::Lane(lane) if trace.resolve(lane) == "cpu"))
             .flat_map(|s| [(s.start, 1), (s.end, -1)])
             .collect();
         edges.sort();
